@@ -115,6 +115,17 @@ def sample_error(target, output) -> float:
     return 0.5 * float(r @ r)
 
 
+def _gradient(model: MlpModel, x: np.ndarray, d: np.ndarray):
+    """Output and per-layer gradient ``[g1, g2]`` of the error at (x, d)."""
+    hidden, out = _forward_full(model, x)
+    delta_out = (out - d) * out * (1.0 - out)
+    n_hidden = model.layer_sizes[1]
+    delta_hidden = (model.weights[1][:, :n_hidden].T @ delta_out) * hidden * (1.0 - hidden)
+    g2 = np.outer(delta_out, np.append(hidden, 1.0))
+    g1 = np.outer(delta_hidden, np.append(x, 1.0))
+    return out, [g1, g2]
+
+
 def backward(model: MlpModel, sample: TrainingSample):
     """Exact gradient of the per-sample error; does not mutate the model."""
     x = np.asarray(sample.x, dtype=np.float64)
@@ -123,13 +134,7 @@ def backward(model: MlpModel, sample: TrainingSample):
         raise DimensionMismatch("sample input does not match the input layer")
     if d.shape != (model.layer_sizes[2],):
         raise DimensionMismatch("sample target does not match the output layer")
-    hidden, out = _forward_full(model, x)
-    delta_out = (out - d) * out * (1.0 - out)
-    n_hidden = model.layer_sizes[1]
-    delta_hidden = (model.weights[1][:, :n_hidden].T @ delta_out) * hidden * (1.0 - hidden)
-    g2 = np.outer(delta_out, np.append(hidden, 1.0))
-    g1 = np.outer(delta_hidden, np.append(x, 1.0))
-    return [g1, g2]
+    return _gradient(model, x, d)[1]
 
 
 def update_weights(model: MlpModel, gradient, cfg: TrainConfig) -> None:
@@ -166,22 +171,12 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
         order = rng.permutation(len(samples))
         total = 0.0
         for i in order:
-            x, d = xs[i], ds[i]
-            hidden, out = _forward_full(model, x)
-            r = d - out
+            out, gradient = _gradient(model, xs[i], ds[i])
+            r = ds[i] - out
             err = 0.5 * float(r @ r)
             if not np.isfinite(err):
                 raise NonFiniteError(f"sample error diverged to {err}")
             total += err
-            delta_out = (out - d) * out * (1.0 - out)
-            n_hidden = model.layer_sizes[1]
-            delta_hidden = (
-                model.weights[1][:, :n_hidden].T @ delta_out
-            ) * hidden * (1.0 - hidden)
-            gradient = [
-                np.outer(delta_hidden, np.append(x, 1.0)),
-                np.outer(delta_out, np.append(hidden, 1.0)),
-            ]
             update_weights(model, gradient, cfg)
         trace.append(total / len(samples))
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < cfg.epsilon:

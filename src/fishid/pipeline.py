@@ -29,7 +29,7 @@ from .features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, extract_features, f
 from .imageio import RgbImage, decode_image, load_manifest, to_indexed
 from .mlp import MlpModel, TrainConfig
 from .preprocess import PreprocessConfig, median_filter, normalize_rotation, unify_background
-from .segment import FishMask, divide_segments, extract_mask, group_by_color, trace_contour
+from .segment import FishMask, extract_mask, group_by_color, trace_contour
 
 MODEL_VERSION = 1
 
@@ -48,6 +48,14 @@ class PipelineConfig:
     group_tolerance: float = 20.0
     bands: int = 4
 
+    def __post_init__(self):
+        if not self.fg_tolerance > 0:
+            raise ValueError("fg_tolerance must be > 0")
+        if not self.group_tolerance >= 0:
+            raise ValueError("group_tolerance must be >= 0")
+        if self.bands < 1:
+            raise ValueError("bands must be >= 1")
+
 
 @dataclass
 class ImageAnalysis:
@@ -58,7 +66,6 @@ class ImageAnalysis:
     mask: object
     contour: object
     groups: object
-    segments: list
     features: np.ndarray
 
 
@@ -121,10 +128,9 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
         mask = FishMask.from_bits(mask.bits[:, ::-1].copy())
     contour = _staged("contour", trace_contour, mask)
     groups = _staged("color-groups", group_by_color, mask, rotated, config.group_tolerance)
-    segments = _staged("segments", divide_segments, mask, rotated, config.bands)
     idx = to_indexed(rotated)
     feats = _staged("features", extract_features, rotated, idx, mask, contour, groups)
-    return ImageAnalysis(rotated, background, mask, contour, groups, segments, feats)
+    return ImageAnalysis(rotated, background, mask, contour, groups, feats)
 
 
 def _read_image(path) -> RgbImage:
@@ -136,18 +142,28 @@ def _read_image(path) -> RgbImage:
     return _staged("decode", decode_image, data)
 
 
+def _classify(bundle: TrainedBundle, features):
+    """Score network then tree: ``(scores, class_index)`` for one descriptor."""
+    scores = _staged("scores", mlp.forward, bundle.mlp, features)
+    return scores, _staged("tree", dtree.predict_class, bundle.tree, scores)
+
+
 def run_pipeline(path, bundle: TrainedBundle) -> PipelineResult:
     """Classify one image file, returning the label plus all intermediates."""
-    img = _read_image(path)
-    analysis = analyze_image(img, bundle.config)
-    scores = _staged("scores", mlp.forward, bundle.mlp, analysis.features)
-    class_index = _staged("tree", dtree.predict_class, bundle.tree, scores)
+    analysis = analyze_image(_read_image(path), bundle.config)
+    scores, class_index = _classify(bundle, analysis.features)
     label = _staged("registry", bundle.registry.label, class_index)
     return PipelineResult(label, scores, analysis.features, class_index, analysis)
 
 
-def _resolve(base_dir, path):
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+def _featurize(entries, manifest_path, config: PipelineConfig) -> np.ndarray:
+    """One descriptor row per entry, in order. Image paths are joined to the
+    manifest's directory; ``os.path.join`` keeps an absolute path as is."""
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    rows = np.empty((len(entries), FEATURE_COUNT), dtype=np.float64)
+    for i, entry in enumerate(entries):
+        rows[i] = analyze_image(_read_image(os.path.join(base, entry.path)), config).features
+    return rows
 
 
 def extract_manifest_features(manifest_path, config: PipelineConfig):
@@ -157,12 +173,7 @@ def extract_manifest_features(manifest_path, config: PipelineConfig):
     are resolved relative to the manifest's directory.
     """
     entries = load_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    rows = np.empty((len(entries), FEATURE_COUNT), dtype=np.float64)
-    for i, entry in enumerate(entries):
-        img = _read_image(_resolve(base, entry.path))
-        rows[i] = analyze_image(img, config).features
-    return entries, rows
+    return entries, _featurize(entries, manifest_path, config)
 
 
 def train_bundle(
@@ -191,20 +202,16 @@ def train_bundle(
         if name not in seen:
             raise ClassMissing(f"class {name!r} has no train rows")
 
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    X = np.empty((len(train_entries), FEATURE_COUNT), dtype=np.float64)
+    X = _featurize(train_entries, manifest_path, config)
+    labels = [registry.index_of(e.family) for e in train_entries]
     targets = np.zeros((len(train_entries), len(registry)), dtype=np.float64)
-    for i, entry in enumerate(train_entries):
-        img = _read_image(_resolve(base, entry.path))
-        X[i] = analyze_image(img, config).features
-        targets[i, registry.index_of(entry.family)] = 1.0
+    targets[np.arange(len(labels)), labels] = 1.0
 
     model = mlp.init((FEATURE_COUNT, hidden, len(registry)), train_cfg)
     samples = [mlp.TrainingSample(x, d) for x, d in zip(X, targets)]
     mlp.train(model, samples, train_cfg)
 
     outputs = [mlp.forward(model, x) for x in X]
-    labels = [registry.index_of(e.family) for e in train_entries]
     tree = dtree.fit(
         list(zip(outputs, labels)), max_depth=tree_max_depth, min_leaf=tree_min_leaf
     )
@@ -216,13 +223,11 @@ def evaluate(bundle: TrainedBundle, manifest_path) -> EvalReport:
     entries = [e for e in load_manifest(manifest_path) if e.split == "test"]
     if not entries:
         raise EmptyTestSet("manifest has no test rows")
-    base = os.path.dirname(os.path.abspath(manifest_path))
+    truth = [bundle.registry.index_of(e.family) for e in entries]
     n = len(bundle.registry)
     confusion = np.zeros((n, n), dtype=np.int64)
-    for entry in entries:
-        result = run_pipeline(_resolve(base, entry.path), bundle)
-        true_idx = bundle.registry.index_of(entry.family)
-        confusion[true_idx, result.class_index] += 1
+    for true_idx, features in zip(truth, _featurize(entries, manifest_path, bundle.config)):
+        confusion[true_idx, _classify(bundle, features)[1]] += 1
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total
     precision = []
@@ -392,6 +397,10 @@ def load_bundle(path) -> TrainedBundle:
         layout = int(doc["feature_layout_version"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModel(f"model file structure is invalid: {exc}") from exc
+    if layout != FEATURE_LAYOUT_VERSION:
+        raise VersionMismatch(
+            f"feature layout version {layout}, supported {FEATURE_LAYOUT_VERSION}"
+        )
     if activation != mlp.ACTIVATION:
         raise CorruptModel(f"unsupported activation {activation!r}")
     if len(layer_sizes) != 3 or any(s < 1 for s in layer_sizes):
@@ -404,13 +413,17 @@ def load_bundle(path) -> TrainedBundle:
         raise CorruptModel("weights contain non-finite values")
     if n_out != len(classes):
         raise CorruptModel("output layer size differs from the class count")
+    if not nodes:
+        raise CorruptModel("tree has no nodes")
     for i, node in enumerate(nodes):
         if node.is_leaf:
             if not 0 <= node.leaf < len(classes):
                 raise CorruptModel(f"node {i} leaf class out of range")
         else:
-            if not (0 <= node.left < len(nodes) and 0 <= node.right < len(nodes)):
-                raise CorruptModel(f"node {i} child index out of range")
+            # fit emits pre-order, so children follow their parent; this
+            # also rules out cycles that would hang predict_class
+            if not (i < node.left < len(nodes) and i < node.right < len(nodes)):
+                raise CorruptModel(f"node {i} child index out of order or range")
             if not 0 <= node.feature < n_out:
                 raise CorruptModel(f"node {i} feature index out of range")
     model = MlpModel(layer_sizes, weights, [np.zeros_like(w) for w in weights])

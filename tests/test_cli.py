@@ -129,3 +129,17 @@ def test_train_is_reproducible(cli_workdir, cli_corpus, cli_model):
     ])
     assert rc == 0
     assert again.read_bytes() == cli_model.read_bytes()
+
+
+def test_invalid_model_config_is_an_error_line(cli_model, cli_corpus, cli_workdir, capsys):
+    doc = json.loads(cli_model.read_text())
+    doc["segment"]["bands"] = 0
+    bad = cli_workdir / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    entry = next(e for e in load_manifest(cli_corpus) if e.split == "test")
+    image = os.path.join(os.path.dirname(cli_corpus), entry.path)
+    rc = main(["classify", "--model", os.fspath(bad), "--image", image])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -189,6 +189,16 @@ class TestTrain:
         assert report.epochs == 1
         assert report.final_error == report.trace[0]
 
+    def test_one_step_matches_backward_then_update(self):
+        cfg = TrainConfig(seed=9, max_epochs=1)
+        sample = TrainingSample(np.array([0.3, 0.9]), np.array([1.0, 0.0]))
+        trained = mlp.init((2, 3, 2), cfg)
+        mlp.train(trained, [sample], cfg)
+        stepped = mlp.init((2, 3, 2), cfg)
+        mlp.update_weights(stepped, mlp.backward(stepped, sample), cfg)
+        for a, b in zip(trained.weights + trained.momentum, stepped.weights + stepped.momentum):
+            assert a.tobytes() == b.tobytes()
+
     def test_empty_training_set(self):
         m = mlp.init((2, 2, 1), TrainConfig(seed=0))
         with pytest.raises(EmptyTrainingSet):

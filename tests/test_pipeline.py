@@ -47,7 +47,6 @@ class TestRunPipeline:
         assert result.scores.shape == (len(small_bundle.registry),)
         assert result.label == small_bundle.registry.label(result.class_index)
         assert result.analysis.mask.area > 0
-        assert len(result.analysis.segments) == small_bundle.config.bands
 
     def test_blank_image_fails_with_staged_empty_foreground(self, tmp_path, small_bundle):
         p = tmp_path / "blank.ppm"
@@ -190,6 +189,43 @@ class TestPersistence:
     def test_missing_file(self):
         with pytest.raises(IoFailure):
             load_bundle("/nonexistent/model.json")
+
+    @pytest.mark.parametrize("nodes", [
+        [{"f": 0, "t": 0.5, "l": 0, "r": 0}],  # node 0 is its own child
+        [{"f": 0, "t": 0.5, "l": 1, "r": 2}, {"leaf": 0}, {"f": 0, "t": 0.5, "l": 0, "r": 1}],
+        [],
+    ], ids=["self-loop", "back-edge", "empty"])
+    def test_tree_must_be_preorder(self, small_bundle, tmp_path, nodes):
+        def edit(doc):
+            doc["tree"]["nodes"] = nodes
+        with pytest.raises(CorruptModel):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    def test_feature_layout_mismatch(self, small_bundle, tmp_path):
+        def edit(doc):
+            doc["feature_layout_version"] = 99
+        with pytest.raises(VersionMismatch):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    @pytest.mark.parametrize("key, value", [
+        ("fg_tolerance", -1.0), ("fg_tolerance", 0.0), ("fg_tolerance", float("nan")),
+        ("group_tolerance", -1.0), ("bands", 0),
+    ])
+    def test_invalid_pipeline_config(self, small_bundle, tmp_path, key, value):
+        def edit(doc):
+            doc["segment"][key] = value
+        with pytest.raises(CorruptModel):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+
+def _edited_model(bundle, tmp_path, edit):
+    """Save ``bundle``, apply ``edit`` to the JSON document, return the path."""
+    p = tmp_path / "model.json"
+    save_bundle(bundle, p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    return p
 
 
 class TestExtractFeatures:
