@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import pipeline, synthgen
-from .errors import ToolkitError
+from .errors import IoFailure, ToolkitError
 from .features import write_features_csv
 from .mlp import TrainConfig
 from .pipeline import (
@@ -81,15 +81,20 @@ _REQUIRED = {
 
 def _read_config(path):
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ToolkitError(f"{path}:{ln}: expected key=value, got {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for ln, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ToolkitError(f"{path}:{ln}: expected key=value, got {line!r}")
+                values[key.strip().replace("-", "_")] = value.strip()
+    except OSError as exc:
+        raise IoFailure(f"reading config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ToolkitError(f"config {path} is not UTF-8: {exc}") from exc
     return values
 
 
@@ -104,7 +109,10 @@ def _merge_options(command, args):
             if key not in known:
                 raise ToolkitError(f"unknown config key {key!r} for {command}")
             typ, repeat = known[key]
-            merged[key] = value.split(",") if repeat else typ(value)
+            try:
+                merged[key] = value.split(",") if repeat else typ(value)
+            except ValueError:
+                raise ToolkitError(f"config key {key!r} expects {typ.__name__}, got {value!r}") from None
     for _, dest, _, _, _, _ in table:
         given = getattr(args, dest, None)
         if given is not None:
@@ -160,9 +168,12 @@ def _cmd_evaluate(opt) -> int:
     report = evaluate(bundle, opt["manifest"])
     print(format_report(report))
     if opt["report"]:
-        with open(opt["report"], "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(opt["report"], "w", encoding="utf-8") as fh:
+                json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise IoFailure(f"writing report to {opt['report']}: {exc}") from exc
     return 0
 
 

@@ -18,7 +18,8 @@ index  definition (bbox = (x0, y0, w, h); A = mask area; P = perimeter;
 14     solidity A / convex hull area of the contour (degenerate hull -> 1)
 15     extent A / (w*h)
 16     eccentricity from central second moments
-17     tail convexity: foreground fraction of the rearmost 20% of columns
+17     tail convexity: foreground fraction of the rightmost 20% of columns
+       (the rear of a left-facing fish)
 18     edge density: boundary pixel count / A
 19-22  intensity std per bbox quadrant (TL, TR, BL, BR), / 128
 23     orientation (theta + pi/2) / pi
@@ -34,11 +35,15 @@ index  definition (bbox = (x0, y0, w, h); A = mask area; P = perimeter;
 41     lower triangle area / (w*h)  [x-extremes + bottommost point]
 42     triangle similarity min(area)/max(area) (both zero -> 1)
 43-44  eye estimate: centroid of the darkest decile of the head band
-       (head-side 25% of columns), relative to bbox (empty band -> 0, 0)
-45     mouth size: foreground vertical extent in the head-side 5% of
+       (leftmost 25% of columns), relative to bbox
+45     mouth size: foreground vertical extent in the leftmost 5% of
        columns, / h
 46     apex angle of the upper triangle at the topmost point, / pi
 ====== =======================================================================
+
+The head is taken to be on the left: ``pipeline.analyze_image`` mirrors every
+fish whose :func:`find_head_side` is ``'right'`` before it calls
+:func:`extract_features`.
 
 Every quantity is computed in bbox-local coordinates, so shifting the fish by
 whole pixels leaves the vector bit-identical.
@@ -51,7 +56,7 @@ import math
 
 import numpy as np
 
-from .errors import InconsistentInputs
+from .errors import InconsistentInputs, IoFailure
 from .imageio import IndexedImage, RgbImage
 from .segment import ColorGroups, Contour, FishMask
 
@@ -102,9 +107,8 @@ def find_head_side(mask: FishMask) -> str:
     Fish bodies are bulkier at the head than at the tail, which makes the
     denser half a reliable head indicator for side-view silhouettes.
     """
-    x0, _, w, _ = mask.bbox
-    _, xs = np.nonzero(mask.bits)
-    left = int(np.count_nonzero(2 * (xs - x0) < w))
+    w = mask.bbox[2]
+    left = int(np.count_nonzero(mask.crop(mask.bits)[:, : (w + 1) // 2]))
     return "left" if left >= mask.area - left else "right"
 
 
@@ -115,13 +119,14 @@ def extract_features(
     contour: Contour,
     groups: ColorGroups,
 ) -> np.ndarray:
-    """Compute the 47-value descriptor; see the module docstring for layout."""
+    """Compute the 47-value descriptor of a left-facing fish; see the module
+    docstring for layout."""
     if not (
         img.width == idx.width == mask.width
         and img.height == idx.height == mask.height
     ):
         raise InconsistentInputs("image, index and mask dimensions differ")
-    if groups.group_of.size != mask.area:
+    if groups.pixel_count != mask.area:
         raise InconsistentInputs("color groups do not match the mask")
 
     W, H = img.width, img.height
@@ -129,9 +134,8 @@ def extract_features(
     A = mask.area
     P = contour.perimeter
 
-    ys, xs = np.nonzero(mask.bits)  # row-major
-    lx = (xs - x0).astype(np.int64)
-    ly = (ys - y0).astype(np.int64)
+    bits = mask.crop(mask.bits)
+    ly, lx = np.nonzero(bits)  # row-major, bbox-local
     cxl = float(lx.sum() / A)
     cyl = float(ly.sum() / A)
     cpts = contour.points - np.array([x0, y0], dtype=np.int64)
@@ -179,19 +183,13 @@ def extract_features(
     theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     f[23] = (theta + math.pi / 2.0) / math.pi
 
-    # head-dependent bands
-    head = find_head_side(mask)
     rear_cols = max(1, (2 * w + 5) // 10)  # round(w / 5)
-    if head == "left":
-        rear_sel = lx >= w - rear_cols
-    else:
-        rear_sel = lx < rear_cols
-    f[17] = float(np.count_nonzero(rear_sel)) / (rear_cols * h)
+    f[17] = float(np.count_nonzero(lx >= w - rear_cols)) / (rear_cols * h)
 
-    f[18] = _boundary_count(mask.bits) / A
+    f[18] = _boundary_count(bits) / A
 
     # per-quadrant intensity spread
-    iv = idx.index[ys, xs].astype(np.float64)
+    iv = mask.crop(idx.index)[ly, lx].astype(np.float64)
     top = ly < h / 2.0
     left_half = lx < w / 2.0
     for qi, sel in enumerate(
@@ -201,7 +199,7 @@ def extract_features(
             f[19 + qi] = min(1.0, float(iv[sel].std()) / 128.0)
 
     # color signature
-    rgb = img.pixels[ys, xs].astype(np.float64)
+    rgb = mask.crop(img.pixels)[ly, lx].astype(np.float64)
     dorsum = ly < cyl
     dmean = rgb[dorsum].mean(axis=0) / 255.0 if dorsum.any() else np.zeros(3)
     vmean = rgb[~dorsum].mean(axis=0) / 255.0 if (~dorsum).any() else np.zeros(3)
@@ -224,20 +222,16 @@ def extract_features(
     f[42] = 1.0 if big == 0.0 else min(tri.area_up, tri.area_down) / big
 
     head_cols = max(1, (w + 2) // 4)  # round(w / 4)
-    head_sel = lx < head_cols if head == "left" else lx >= w - head_cols
-    if head_sel.any():
-        n_dark = max(1, int(np.count_nonzero(head_sel)) // 10)
-        hx = lx[head_sel]
-        hy = ly[head_sel]
-        order = np.argsort(iv[head_sel], kind="stable")[:n_dark]
-        f[43] = float(hx[order].sum() / n_dark) / w
-        f[44] = float(hy[order].sum() / n_dark) / h
+    # the bbox's first column holds foreground, so both head bands are non-empty
+    head_sel = lx < head_cols
+    n_dark = max(1, int(np.count_nonzero(head_sel)) // 10)
+    order = np.argsort(iv[head_sel], kind="stable")[:n_dark]
+    f[43] = float(lx[head_sel][order].sum() / n_dark) / w
+    f[44] = float(ly[head_sel][order].sum() / n_dark) / h
 
     mouth_cols = max(1, (w + 10) // 20)  # round(w / 20)
-    mouth_sel = lx < mouth_cols if head == "left" else lx >= w - mouth_cols
-    if mouth_sel.any():
-        my = ly[mouth_sel]
-        f[45] = float(my.max() - my.min() + 1) / h
+    my = ly[lx < mouth_cols]
+    f[45] = float(my.max() - my.min() + 1) / h
 
     v1 = np.array(tri.p_xmin, dtype=np.float64) - tri.p_ymin
     v2 = np.array(tri.p_xmax, dtype=np.float64) - tri.p_ymin
@@ -268,7 +262,8 @@ def _point_triangles(cpts: np.ndarray) -> TrianglePair:
 
 
 def _boundary_count(bits: np.ndarray) -> int:
-    """Pixels with a false 4-neighbor or on the image edge."""
+    """Pixels with a false 4-neighbor or on the raster edge; on the bbox crop
+    the count equals the full frame's, whose mask ends at the bbox."""
     inner = np.zeros_like(bits)
     inner[1:-1, 1:-1] = (
         bits[:-2, 1:-1] & bits[2:, 1:-1] & bits[1:-1, :-2] & bits[1:-1, 2:]
@@ -317,5 +312,8 @@ def write_features_csv(path, rows) -> None:
     for values, family, poison, cluster, split in rows:
         nums = ",".join(format(float(v), ".9g") for v in values)
         lines.append(f"{nums},{family},{int(poison)},{cluster},{split}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoFailure(f"writing features to {path}: {exc}") from exc

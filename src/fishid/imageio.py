@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     EmptyManifest,
     InconsistentHierarchy,
+    IoFailure,
     MalformedRow,
     TruncatedData,
     UnsupportedFormat,
@@ -188,8 +189,13 @@ def to_indexed(img: RgbImage) -> IndexedImage:
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a dataset manifest, validating rows and the label hierarchy."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IoFailure(f"reading manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"manifest {path} is not UTF-8: {exc}") from exc
     lines = text.split("\n")
     if not lines or lines[0].strip() != MANIFEST_HEADER:
         raise MalformedRow(f"manifest must start with header {MANIFEST_HEADER!r}")

@@ -341,14 +341,15 @@ def save_bundle(bundle: TrainedBundle, path) -> None:
 def load_bundle(path) -> TrainedBundle:
     """Read and validate a model file written by :func:`save_bundle`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoFailure(f"reading model from {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptModel(f"model file is not valid JSON: {exc}") from exc
+        # ValueError covers bad UTF-8 and integers past Python's digit limit
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CorruptModel(f"model file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CorruptModel("model document must be an object")
     version = doc.get("version")
@@ -395,7 +396,7 @@ def load_bundle(path) -> TrainedBundle:
             bands=int(doc["segment"]["bands"]),
         )
         layout = int(doc["feature_layout_version"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"model file structure is invalid: {exc}") from exc
     if layout != FEATURE_LAYOUT_VERSION:
         raise VersionMismatch(

@@ -30,8 +30,7 @@ class FishMask:
 
     bits: np.ndarray  # (h, w) bool
     area: int
-    bbox: tuple[int, int, int, int]  # x0, y0, w, h
-    centroid: tuple[float, float]
+    bbox: tuple[int, int, int, int]  # x0, y0, w, h; holds every foreground pixel
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "FishMask":
@@ -41,9 +40,7 @@ class FishMask:
         x0, y0 = int(xs.min()), int(ys.min())
         w = int(xs.max()) - x0 + 1
         h = int(ys.max()) - y0 + 1
-        cx = float(xs.sum() / xs.size)
-        cy = float(ys.sum() / ys.size)
-        return cls(bits, int(ys.size), (x0, y0, w, h), (cx, cy))
+        return cls(bits, int(ys.size), (x0, y0, w, h))
 
     @property
     def width(self) -> int:
@@ -52,6 +49,11 @@ class FishMask:
     @property
     def height(self) -> int:
         return self.bits.shape[0]
+
+    def crop(self, raster: np.ndarray) -> np.ndarray:
+        """View of a full-frame raster (``bits``, pixels, index) inside the bbox."""
+        x0, y0, w, h = self.bbox
+        return raster[y0 : y0 + h, x0 : x0 + w]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +66,10 @@ class Contour:
 
 @dataclass(frozen=True, eq=False)
 class ColorGroups:
-    """Color-similarity grouping of foreground pixels.
-
-    ``group_of[i]`` is the group id of the i-th foreground pixel in row-major
-    order; ids are assigned in order of each group's first pixel.
-    """
+    """Number of color-similarity groups over ``pixel_count`` foreground pixels."""
 
     group_count: int
-    group_of: np.ndarray
-    mean_color: np.ndarray  # (group_count, 3) float64
+    pixel_count: int
 
 
 def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMask:
@@ -101,8 +98,8 @@ def trace_contour(mask: FishMask) -> Contour:
     """Clockwise Moore boundary trace from the smallest row-major pixel."""
     bits = mask.bits
     h, w = bits.shape
-    ys, xs = np.nonzero(bits)
-    start = (int(xs[0]), int(ys[0]))
+    y0 = mask.bbox[1]
+    start = (int(np.argmax(bits[y0])), y0)
 
     def fg(x, y):
         return 0 <= x < w and 0 <= y < h and bits[y, x]
@@ -170,35 +167,18 @@ def group_by_color(mask: FishMask, img: RgbImage, eps: float) -> ColorGroups:
     ``eps`` (Euclidean RGB); groups are maximal under that relation."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    ys, xs = np.nonzero(mask.bits)
-    n = ys.size
-    h, w = mask.bits.shape
-    index = np.full((h, w), -1, dtype=np.int64)
-    index[ys, xs] = np.arange(n)
-    colors = img.pixels[ys, xs].astype(np.float64)
-
-    rows_a, rows_b = [], []
-    for dx, dy in ((1, 0), (0, 1)):
-        nx, ny = xs + dx, ys + dy
-        ok = (nx < w) & (ny < h)
-        ok[ok] &= mask.bits[ny[ok], nx[ok]]
-        a = np.nonzero(ok)[0]
-        b = index[ny[a], nx[a]]
-        d2 = np.sum((colors[a] - colors[b]) ** 2, axis=1)
-        near = d2 <= eps * eps
-        rows_a.append(a[near])
-        rows_b.append(b[near])
-    a = np.concatenate(rows_a)
-    b = np.concatenate(rows_b)
-    graph = sparse.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
-    count, raw = csgraph.connected_components(graph, directed=False)
-    # renumber so group ids follow each group's first row-major pixel
-    first = np.full(count, n, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(n))
-    new_of_old = np.empty(count, dtype=np.int64)
-    new_of_old[np.argsort(first, kind="stable")] = np.arange(count)
-    group_of = new_of_old[raw]
-    sums = np.zeros((count, 3), dtype=np.float64)
-    np.add.at(sums, group_of, colors)
-    sizes = np.bincount(group_of, minlength=count).astype(np.float64)
-    return ColorGroups(int(count), group_of, sums / sizes[:, np.newaxis])
+    bits = mask.crop(mask.bits)
+    px = mask.crop(img.pixels).astype(np.int32)
+    h, w = bits.shape
+    ids = np.arange(h * w).reshape(h, w)
+    # squared-distance comparison is exact for integer pixel deltas
+    right = np.sum((px[:, 1:] - px[:, :-1]) ** 2, axis=2) <= eps * eps
+    right &= bits[:, 1:] & bits[:, :-1]
+    down = np.sum((px[1:] - px[:-1]) ** 2, axis=2) <= eps * eps
+    down &= bits[1:] & bits[:-1]
+    a = np.concatenate((ids[:, :-1][right], ids[:-1][down]))
+    b = np.concatenate((ids[:, 1:][right], ids[1:][down]))
+    graph = sparse.coo_matrix((np.ones(a.size), (a, b)), shape=(h * w, h * w))
+    count, _ = csgraph.connected_components(graph, directed=False)
+    # bbox pixels outside the mask have no edges: one component each
+    return ColorGroups(int(count) - (h * w - mask.area), mask.area)

@@ -143,3 +143,63 @@ def test_invalid_model_config_is_an_error_line(cli_model, cli_corpus, cli_workdi
     assert rc == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+
+def one_error_line(capsys, rc):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "name, content, named",
+    [
+        ("missing.cfg", None, "missing.cfg"),
+        ("latin1.cfg", b"out=caf\xe9\n", "latin1.cfg"),
+        ("bad_int.cfg", b"hidden=abc\n", "'hidden'"),
+        ("bad_float.cfg", b"eta=fast\n", "'eta'"),
+    ],
+)
+def test_config_errors_are_error_lines(cli_workdir, capsys, name, content, named):
+    cfg = cli_workdir / "configs" / name
+    if content is not None:
+        cfg.parent.mkdir(exist_ok=True)
+        cfg.write_bytes(content)
+    rc = main(["train", "--config", os.fspath(cfg), "--manifest", "m.csv", "--out", "o.json"])
+    assert named in one_error_line(capsys, rc)
+
+
+def _model_with_tree_feature(cli_model, dest, literal):
+    doc = json.loads(cli_model.read_text())
+    node = next(n for n in doc["tree"]["nodes"] if "f" in n)
+    node["f"] = "FEATURE"
+    dest.write_text(json.dumps(doc).replace('"FEATURE"', literal))
+    return dest
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing-manifest", "undecodable-manifest", "undecodable-model",
+     "overflowing-model", "unwritable-report", "unwritable-features"],
+)
+def test_file_errors_are_error_lines(case, cli_workdir, cli_corpus, cli_model, capsys):
+    missing_dir = cli_workdir / "no-such-dir"
+    junk = cli_workdir / "junk.bin"
+    junk.write_bytes(b"\xff\xfe")
+    overflow = _model_with_tree_feature(cli_model, cli_workdir / "overflow.json", "1e999")
+    manifest, model = os.fspath(cli_corpus), os.fspath(cli_model)
+    unused = os.fspath(cli_workdir / "unused.json")
+    argv = {
+        "missing-manifest": ["train", "--manifest", os.fspath(missing_dir / "m.csv"),
+                             "--out", unused],
+        "undecodable-manifest": ["train", "--manifest", os.fspath(junk), "--out", unused],
+        "undecodable-model": ["evaluate", "--model", os.fspath(junk), "--manifest", manifest],
+        "overflowing-model": ["evaluate", "--model", os.fspath(overflow), "--manifest", manifest],
+        "unwritable-report": ["evaluate", "--model", model, "--manifest", manifest,
+                              "--report", os.fspath(missing_dir / "r.json")],
+        "unwritable-features": ["extract", "--manifest", manifest,
+                                "--out", os.fspath(missing_dir / "f.csv")],
+    }[case]
+    one_error_line(capsys, main(argv))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,44 @@ class TestInvariants:
         f1 = analyze_image(img, pcfg).features
         f2 = analyze_image(RgbImage(shifted), pcfg).features
         assert np.array_equal(f1, f2)
+
+
+# seeds 0 and 1 draw the head on the left, 4 and 6 on the right, for every class
+FACING_SEEDS = (0, 1, 4, 6)
+
+# sha256 over the analyze_image descriptors of FACING_SEEDS at scales 1.0 and
+# 0.5 on the default 320x240 canvas, in that order
+DESCRIPTOR_SHA256 = {
+    "Istiophoridae": "628a94d540428ba376e57a693d1b754915898ae35c2be02f517e8feb219ad2fe",
+    "leiognathidae": "e5ae5aa8a95eee57c604b35f050e2cbb4ac7401a68f5e6d7bb51c85182aa1160",
+    "Acropomaatidae": "a69bdc5e868a6c1437c473bea4971cc8122bc47e155780dd6e50519bc3601088",
+    "Scombridae": "c47787b901fed68174a56a677dc408793334695fc0438071debc9b48ac1a1b0f",
+    "Stromateidae": "b6bc71b2d6042ba16d1af6b5be800824a8821b0e6bf2dcbf596d3de57040237e",
+    "Triacanthidae": "eb0b0e5672631008b7a37fe6caa913a35a2cde93328de9c881aef916d63110b9",
+    "Poison fish": "5a5b300bd782b0a00ca3718627bf97940839d135d9fa09c315b5a75971b41f58",
+}
+
+
+@pytest.mark.parametrize("spec", synthgen.default_families(), ids=lambda s: s.name)
+class TestCanonicalFish:
+    def test_seeds_cover_both_facings(self, spec):
+        sides = [synthgen.render_params(spec, seed).head_side for seed in FACING_SEEDS]
+        assert sides == ["left", "left", "right", "right"]
+
+    def test_descriptor_digest_pinned(self, spec):
+        cfg, pcfg = synthgen.SynthConfig(), PipelineConfig()
+        digest = hashlib.sha256()
+        for seed in FACING_SEEDS:
+            for scale in (1.0, 0.5):
+                img = synthgen.render_fish(spec, seed, cfg, scale)
+                digest.update(analyze_image(img, pcfg).features.tobytes())
+        assert digest.hexdigest() == DESCRIPTOR_SHA256[spec.name]
+
+    def test_analyzed_fish_faces_left(self, spec):
+        cfg, pcfg = synthgen.SynthConfig(), PipelineConfig()
+        for seed in FACING_SEEDS:
+            img = synthgen.render_fish(spec, seed, cfg)
+            assert find_head_side(analyze_image(img, pcfg).mask) == "left"
 
 
 class TestCsvExport:

@@ -44,6 +44,37 @@ def bfs_components(bits):
     return comps
 
 
+def color_flood_fill(bits, px, eps):
+    """Independent oracle: 4-connected groups of foreground pixels whose
+    neighbors' colors lie within ``eps``."""
+    colors = px.astype(int).tolist()
+
+    def near(a, b):
+        pa, pb = colors[a[0]][a[1]], colors[b[0]][b[1]]
+        return sum((u - v) ** 2 for u, v in zip(pa, pb)) <= eps * eps
+
+    h, w = bits.shape
+    seen = np.zeros_like(bits)
+    groups = []
+    for y in range(h):
+        for x in range(w):
+            if bits[y, x] and not seen[y, x]:
+                seen[y, x] = True
+                stack, group = [(y, x)], []
+                while stack:
+                    cy, cx = stack.pop()
+                    group.append((cy, cx))
+                    for ny, nx in ((cy - 1, cx), (cy + 1, cx), (cy, cx - 1), (cy, cx + 1)):
+                        if (
+                            0 <= ny < h and 0 <= nx < w and bits[ny, nx]
+                            and not seen[ny, nx] and near((cy, cx), (ny, nx))
+                        ):
+                            seen[ny, nx] = True
+                            stack.append((ny, nx))
+                groups.append(group)
+    return groups
+
+
 def disk_mask(r=50, pad=10):
     side = 2 * (r + pad)
     yy, xx = np.mgrid[0:side, 0:side]
@@ -194,9 +225,7 @@ class TestGroupByColor:
         px[5:15, 15:25] = (80, 10, 10)  # 120 apart on the red channel
         img = RgbImage(px)
         mask = extract_mask(img, (0, 0, 255), 50.0)
-        groups = group_by_color(mask, img, 10.0)
-        assert groups.group_count == 2
-        assert groups.mean_color.shape == (2, 3)
+        assert group_by_color(mask, img, 10.0).group_count == 2
 
     def test_max_tolerance_saturates_to_one_group(self):
         rng = np.random.default_rng(5)
@@ -221,11 +250,27 @@ class TestGroupByColor:
         counts = [group_by_color(mask, img, eps).group_count for eps in (5.0, 40.0, 120.0, 441.7)]
         assert counts == sorted(counts, reverse=True)
 
-    def test_group_ids_cover_every_foreground_pixel(self):
-        cfg = synthgen.SynthConfig()
-        img = synthgen.render_fish(synthgen.default_families()[2], 8, cfg)
-        mask = extract_mask(img, cfg.background, 40.0)
-        groups = group_by_color(mask, img, 20.0)
-        assert groups.group_of.shape == (mask.area,)
-        assert groups.group_of.min() == 0
-        assert groups.group_of.max() == groups.group_count - 1
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 0.95),
+        st.integers(1, 3),
+        st.sampled_from([0.0, 60.0, 120.0, 180.0]) | st.floats(0.0, 450.0),
+    )
+    def test_group_count_matches_flood_fill(self, h, w, seed, density, colors, eps):
+        """Random masks, holes and several components included, set in a
+        frame whose off-mask pixels carry palette colors too. A small
+        palette on a 60-step grid puts many neighbor pairs exactly at eps."""
+        rng = np.random.default_rng(seed)
+        bits = np.zeros((h + 4, w + 4), dtype=bool)
+        bits[2 : 2 + h, 2 : 2 + w] = rng.random((h, w)) < density
+        if not bits.any():
+            bits[2 + h // 2, 2 + w // 2] = True
+        palette = (rng.integers(0, 4, (colors, 3)) * 60).astype(np.uint8)
+        px = palette[rng.integers(0, colors, bits.shape)]
+        mask = FishMask.from_bits(bits)
+        groups = group_by_color(mask, RgbImage(px), eps)
+        assert groups.pixel_count == mask.area
+        assert groups.group_count == len(color_flood_fill(bits, px, eps))
