@@ -8,13 +8,13 @@ values given on the command line win on conflict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import pipeline, synthgen
 from .errors import IoFailure, ToolkitError
 from .features import write_features_csv
-from .mlp import TrainConfig
 from .pipeline import (
     evaluate,
     extract_manifest_features,
@@ -52,12 +52,14 @@ _OPTIONS = {
     "train": [
         ("--manifest", "manifest", str, None, "manifest CSV", False),
         ("--out", "out", str, None, "output model file", False),
-        ("--hidden", "hidden", int, 24, "hidden layer size", False),
-        ("--eta", "eta", float, 0.3, "learning rate", False),
-        ("--alpha", "alpha", float, 0.9, "momentum factor", False),
-        ("--epsilon", "epsilon", float, 1e-6, "error-delta stop threshold", False),
-        ("--max-epochs", "max_epochs", int, 500, "training epoch cap", False),
-        ("--seed", "seed", int, 7, "training seed", False),
+        ("--hidden", "hidden", int, pipeline.DEFAULT_HIDDEN, "hidden layer size", False),
+        ("--eta", "eta", float, pipeline.DEFAULT_TRAIN.eta, "learning rate", False),
+        ("--alpha", "alpha", float, pipeline.DEFAULT_TRAIN.alpha, "momentum factor", False),
+        ("--epsilon", "epsilon", float, pipeline.DEFAULT_TRAIN.epsilon,
+         "error-delta stop threshold", False),
+        ("--max-epochs", "max_epochs", int, pipeline.DEFAULT_TRAIN.max_epochs,
+         "training epoch cap", False),
+        ("--seed", "seed", int, pipeline.DEFAULT_TRAIN.seed, "training seed", False),
     ],
     "evaluate": [
         ("--model", "model", str, None, "model file", False),
@@ -149,13 +151,13 @@ def _cmd_extract(opt) -> int:
 
 
 def _cmd_train(opt) -> int:
-    cfg = TrainConfig(
+    cfg = dataclasses.replace(
+        pipeline.DEFAULT_TRAIN,
         eta=opt["eta"],
         alpha=opt["alpha"],
         epsilon=opt["epsilon"],
         max_epochs=opt["max_epochs"],
         seed=opt["seed"],
-        init_scale=pipeline.PIPELINE_INIT_SCALE,
     )
     bundle = train_bundle(opt["manifest"], train_cfg=cfg, hidden=opt["hidden"])
     save_bundle(bundle, opt["out"])

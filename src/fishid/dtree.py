@@ -182,8 +182,3 @@ def predict_class(tree: DecisionTree, x) -> int:
             )
         node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
     return node.leaf
-
-
-def predict_hierarchical(tree: DecisionTree, registry: LabelRegistry, x) -> HierarchicalLabel:
-    """Tree prediction expanded through the registry."""
-    return registry.label(predict_class(tree, x))

@@ -21,6 +21,10 @@ class ToolkitError(Exception):
         return base
 
 
+class InvalidConfig(ToolkitError, ValueError):
+    """A config object was given an out-of-range or unknown value."""
+
+
 # image decoding / manifests
 class UnsupportedFormat(ToolkitError):
     """Input bytes are not a format this toolkit reads."""

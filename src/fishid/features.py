@@ -57,7 +57,7 @@ import math
 import numpy as np
 
 from .errors import InconsistentInputs, IoFailure
-from .imageio import IndexedImage, RgbImage
+from .imageio import RgbImage
 from .segment import ColorGroups, Contour, FishMask
 
 FEATURE_COUNT = 47
@@ -89,10 +89,6 @@ def triangle_area(a, b, c) -> float:
     ) / 2.0
 
 
-def extreme_triangles(contour: Contour) -> TrianglePair:
-    return _point_triangles(contour.points)
-
-
 def _extreme(pts: np.ndarray, axis: int, take_max: bool):
     """Extreme point along an axis; ties take the smallest other coordinate."""
     other = 1 - axis
@@ -114,17 +110,14 @@ def find_head_side(mask: FishMask) -> str:
 
 def extract_features(
     img: RgbImage,
-    idx: IndexedImage,
+    idx: np.ndarray,
     mask: FishMask,
     contour: Contour,
     groups: ColorGroups,
 ) -> np.ndarray:
-    """Compute the 47-value descriptor of a left-facing fish; see the module
-    docstring for layout."""
-    if not (
-        img.width == idx.width == mask.width
-        and img.height == idx.height == mask.height
-    ):
+    """Compute the 47-value descriptor of a left-facing fish; ``idx`` is
+    ``to_indexed(img)``. See the module docstring for layout."""
+    if not img.pixels.shape[:2] == idx.shape == mask.bits.shape:
         raise InconsistentInputs("image, index and mask dimensions differ")
     if groups.pixel_count != mask.area:
         raise InconsistentInputs("color groups do not match the mask")
@@ -189,7 +182,7 @@ def extract_features(
     f[18] = _boundary_count(bits) / A
 
     # per-quadrant intensity spread
-    iv = mask.crop(idx.index)[ly, lx].astype(np.float64)
+    iv = mask.crop(idx)[ly, lx].astype(np.float64)
     top = ly < h / 2.0
     left_half = lx < w / 2.0
     for qi, sel in enumerate(
@@ -211,7 +204,7 @@ def extract_features(
     f[35] = min(groups.group_count, 32) / 32.0
 
     # geometric parameters from the extreme-point triangles
-    tri = _point_triangles(cpts)
+    tri = extreme_triangles(cpts)
     f[36] = tri.p_ymin[0] / w
     f[37] = tri.p_ymin[1] / h
     f[38] = tri.area_up / (w * h)
@@ -246,7 +239,9 @@ def extract_features(
     return out
 
 
-def _point_triangles(cpts: np.ndarray) -> TrianglePair:
+def extreme_triangles(cpts: np.ndarray) -> TrianglePair:
+    """Extreme points of (n, 2) integer ``(x, y)`` contour points, and the
+    areas the two x-extremes span with the topmost and the bottommost point."""
     p_xmin = _extreme(cpts, 0, False)
     p_xmax = _extreme(cpts, 0, True)
     p_ymin = _extreme(cpts, 1, False)

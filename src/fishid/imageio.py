@@ -59,28 +59,6 @@ class RgbImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    def same_as(self, other: "RgbImage") -> bool:
-        return np.array_equal(self.pixels, other.pixels)
-
-
-@dataclass(frozen=True, eq=False)
-class IndexedImage:
-    """Per-pixel intensity category, 0 (black) .. 255 (white)."""
-
-    index: np.ndarray
-
-    def __post_init__(self):
-        if self.index.ndim != 2 or self.index.dtype != np.uint8:
-            raise ValueError("index must be a (h, w) uint8 array")
-
-    @property
-    def width(self) -> int:
-        return self.index.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.index.shape[0]
-
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -180,11 +158,11 @@ def encode_bmp(img: RgbImage) -> bytes:
     return header + info + rows.tobytes()
 
 
-def to_indexed(img: RgbImage) -> IndexedImage:
-    """Map each pixel to its 0..255 intensity index (black .. white)."""
+def to_indexed(img: RgbImage) -> np.ndarray:
+    """Map each pixel to its 0..255 intensity index (black .. white); returns
+    an (h, w) uint8 array."""
     lum = img.pixels.astype(np.float64) @ _LUMA
-    idx = np.clip(np.floor(lum + 0.5), 0, 255).astype(np.uint8)
-    return IndexedImage(idx)
+    return np.clip(np.floor(lum + 0.5), 0, 255).astype(np.uint8)
 
 
 def load_manifest(path) -> list[ManifestEntry]:

@@ -17,6 +17,7 @@ from .errors import (
     BadArchitecture,
     DimensionMismatch,
     EmptyTrainingSet,
+    InvalidConfig,
     NonFiniteError,
 )
 
@@ -33,16 +34,16 @@ class TrainConfig:
     init_scale: float = 0.5
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
+        if not self.eta > 0:  # NaN fails too
+            raise InvalidConfig("eta must be > 0")
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must be in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+            raise InvalidConfig("alpha must be in [0, 1)")
+        if not self.epsilon > 0:
+            raise InvalidConfig("epsilon must be > 0")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be > 0")
+            raise InvalidConfig("max_epochs must be >= 1")
+        if not self.init_scale > 0:
+            raise InvalidConfig("init_scale must be > 0")
 
 
 @dataclass
@@ -182,9 +183,3 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
         if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < cfg.epsilon:
             break
     return TrainReport(len(trace), trace[-1], trace)
-
-
-def predict(model: MlpModel, x):
-    """Forward pass plus argmax (lowest index wins ties)."""
-    scores = forward(model, x)
-    return scores, int(np.argmax(scores))

@@ -21,6 +21,7 @@ from .errors import (
     CorruptModel,
     EmptyTestSet,
     EmptyTrainingSet,
+    InvalidConfig,
     IoFailure,
     ToolkitError,
     VersionMismatch,
@@ -38,6 +39,10 @@ MODEL_VERSION = 1
 # (0.5) is fine for tiny nets but diverges here
 PIPELINE_INIT_SCALE = 0.05
 
+# the training recipe of the README experiment and of ``fishid train``
+DEFAULT_TRAIN = TrainConfig(seed=7, init_scale=PIPELINE_INIT_SCALE)
+DEFAULT_HIDDEN = 24
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -50,11 +55,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not self.fg_tolerance > 0:
-            raise ValueError("fg_tolerance must be > 0")
+            raise InvalidConfig("fg_tolerance must be > 0")
         if not self.group_tolerance >= 0:
-            raise ValueError("group_tolerance must be >= 0")
+            raise InvalidConfig("group_tolerance must be >= 0")
         if self.bands < 1:
-            raise ValueError("bands must be >= 1")
+            raise InvalidConfig("bands must be >= 1")
 
 
 @dataclass
@@ -178,18 +183,12 @@ def extract_manifest_features(manifest_path, config: PipelineConfig):
 
 def train_bundle(
     manifest_path,
-    train_cfg: TrainConfig | None = None,
-    hidden: int = 24,
-    tree_max_depth: int = 8,
-    tree_min_leaf: int = 1,
-    config: PipelineConfig | None = None,
+    train_cfg: TrainConfig = DEFAULT_TRAIN,
+    hidden: int = DEFAULT_HIDDEN,
+    config: PipelineConfig = PipelineConfig(),
 ) -> TrainedBundle:
     """Train the score network on the manifest's train split, then fit the
     tree on the network's outputs. Deterministic given the config seed."""
-    if train_cfg is None:
-        train_cfg = TrainConfig(seed=7, init_scale=PIPELINE_INIT_SCALE)
-    if config is None:
-        config = PipelineConfig()
     entries = load_manifest(manifest_path)
     registry = LabelRegistry.from_rows(
         (e.family, e.poison, e.cluster) for e in entries
@@ -212,9 +211,7 @@ def train_bundle(
     mlp.train(model, samples, train_cfg)
 
     outputs = [mlp.forward(model, x) for x in X]
-    tree = dtree.fit(
-        list(zip(outputs, labels)), max_depth=tree_max_depth, min_leaf=tree_min_leaf
-    )
+    tree = dtree.fit(list(zip(outputs, labels)))
     return TrainedBundle(model, tree, registry, config)
 
 
@@ -407,6 +404,8 @@ def load_bundle(path) -> TrainedBundle:
     if len(layer_sizes) != 3 or any(s < 1 for s in layer_sizes):
         raise CorruptModel(f"bad layer sizes {layer_sizes}")
     n_in, n_hidden, n_out = layer_sizes
+    if n_in != FEATURE_COUNT:
+        raise CorruptModel(f"input layer size {n_in}, the descriptor has {FEATURE_COUNT}")
     expected = [(n_hidden, n_in + 1), (n_out, n_hidden + 1)]
     if [w.shape for w in weights] != expected:
         raise CorruptModel("weight shapes do not match the layer sizes")

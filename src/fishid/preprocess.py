@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyForeground, ImageTooSmall
+from .errors import EmptyForeground, ImageTooSmall, InvalidConfig
 from .imageio import RgbImage
 
 # skip resampling when the measured orientation is below half a degree
@@ -29,10 +29,10 @@ class PreprocessConfig:
     median_radius: int = 1  # 0 disables, 1 -> 3x3 window, 2 -> 5x5
 
     def __post_init__(self):
-        if self.background_tolerance < 0:
-            raise ValueError("background_tolerance must be >= 0")
+        if not self.background_tolerance >= 0:  # NaN fails too
+            raise InvalidConfig("background_tolerance must be >= 0")
         if self.median_radius not in (0, 1, 2):
-            raise ValueError("median_radius must be 0, 1 or 2")
+            raise InvalidConfig("median_radius must be 0, 1 or 2")
 
 
 def median_filter(img: RgbImage, radius: int) -> RgbImage:

@@ -42,14 +42,6 @@ class FishMask:
         h = int(ys.max()) - y0 + 1
         return cls(bits, int(ys.size), (x0, y0, w, h))
 
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
     def crop(self, raster: np.ndarray) -> np.ndarray:
         """View of a full-frame raster (``bits``, pixels, index) inside the bbox."""
         x0, y0, w, h = self.bbox

@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .errors import CanvasTooSmall, IoFailure
+from .errors import CanvasTooSmall, InvalidConfig, IoFailure
 from .imageio import ManifestEntry, RgbImage, encode_ppm, write_manifest
 
 _MARGIN = 8.0  # minimum distance from the fish to every canvas border
@@ -64,15 +64,21 @@ class SynthConfig:
     height: int = 240
     background: tuple[int, int, int] = (210, 232, 248)
     seed: int = 0
-    # per-family count overrides; unknown families default to 0
+    # per-family overrides of DEFAULT_TRAIN_COUNTS / DEFAULT_TEST_COUNTS
     train_counts: dict = field(default_factory=dict)
     test_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.width < 64 or self.height < 64:
-            raise ValueError("canvas must be at least 64x64")
+            raise InvalidConfig("canvas must be at least 64x64")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise InvalidConfig("seed must be non-negative")
+        names = {spec.name for spec in default_families()}
+        for name, count in (*self.train_counts.items(), *self.test_counts.items()):
+            if name not in names:
+                raise InvalidConfig(f"unknown family {name!r} in the counts")
+            if count < 0:
+                raise InvalidConfig(f"negative count {count} for family {name!r}")
 
 
 def default_families() -> list[FamilySpec]:
@@ -309,24 +315,23 @@ def _image_seed(base_seed: int, family_index: int, split_code: int, k: int) -> i
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def generate_corpus(out_dir, cfg: SynthConfig, specs=None):
-    """Write PPM images plus a manifest into ``out_dir``.
+def generate_corpus(out_dir, cfg: SynthConfig):
+    """Write PPM images of the :func:`default_families` plus a manifest into
+    ``out_dir``.
 
     Files are named ``<family>_<split>_<k>.ppm``; regenerating with the same
     config yields byte-identical output. Returns
     ``(manifest_path, image_paths)``.
     """
-    if specs is None:
-        specs = default_families()
     try:
         os.makedirs(out_dir, exist_ok=True)
         entries = []
         paths = []
-        for fi, spec in enumerate(specs):
+        for fi, spec in enumerate(default_families()):
             for split_code, split in ((0, "train"), (1, "test")):
                 defaults = DEFAULT_TRAIN_COUNTS if split == "train" else DEFAULT_TEST_COUNTS
                 overrides = cfg.train_counts if split == "train" else cfg.test_counts
-                count = overrides.get(spec.name, defaults.get(spec.name, 0))
+                count = overrides.get(spec.name, defaults[spec.name])
                 for k in range(count):
                     img = render_fish(spec, _image_seed(cfg.seed, fi, split_code, k), cfg)
                     fname = f"{spec.name}_{split}_{k}.ppm"

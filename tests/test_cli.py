@@ -5,6 +5,7 @@ import pytest
 
 from fishid.cli import main
 from fishid.imageio import load_manifest
+from fishid.pipeline import save_bundle, train_bundle
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,14 @@ def test_train_is_reproducible(cli_workdir, cli_corpus, cli_model):
     assert again.read_bytes() == cli_model.read_bytes()
 
 
+def test_train_defaults_are_the_library_recipe(small_corpus, tmp_path):
+    manifest, _ = small_corpus
+    cli_out, lib_out = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert main(["train", "--manifest", manifest, "--out", os.fspath(cli_out)]) == 0
+    save_bundle(train_bundle(manifest), lib_out)
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
 def test_invalid_model_config_is_an_error_line(cli_model, cli_corpus, cli_workdir, capsys):
     doc = json.loads(cli_model.read_text())
     doc["segment"]["bands"] = 0
@@ -169,6 +178,29 @@ def test_config_errors_are_error_lines(cli_workdir, capsys, name, content, named
         cfg.write_bytes(content)
     rc = main(["train", "--config", os.fspath(cfg), "--manifest", "m.csv", "--out", "o.json"])
     assert named in one_error_line(capsys, rc)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["train", "--eta", "-1"], "eta"),
+        (["train", "--eta", "nan"], "eta"),
+        (["train", "--alpha", "1"], "alpha"),
+        (["train", "--epsilon", "0"], "epsilon"),
+        (["train", "--epsilon", "nan"], "epsilon"),
+        (["train", "--max-epochs", "0"], "max_epochs"),
+        (["gen-synth", "--seed", "-1"], "seed"),
+        (["gen-synth", "--train-count", "scombridae=1"], "'scombridae'"),
+    ],
+    ids=["eta", "eta-nan", "alpha", "epsilon", "epsilon-nan", "max-epochs", "seed",
+         "family-name"],
+)
+def test_invalid_settings_are_error_lines(cli_workdir, capsys, argv, named):
+    out = os.fspath(cli_workdir / "never-written")
+    if argv[0] == "train":
+        argv = argv + ["--manifest", "m.csv"]
+    assert named in one_error_line(capsys, main(argv + ["--out", out]))
+    assert not os.path.exists(out)
 
 
 def _model_with_tree_feature(cli_model, dest, literal):

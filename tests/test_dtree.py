@@ -176,11 +176,11 @@ class TestRegistry:
         sco = reg.index_of("Scombridae")
         rows = [((0.9,), sco)] * 3
         tree = dtree.fit(rows)
-        label = dtree.predict_hierarchical(tree, reg, (0.5,))
+        label = reg.label(dtree.predict_class(tree, (0.5,)))
         assert label.family == "Scombridae"
 
     def test_predict_hierarchical_unknown_class(self):
         reg = LabelRegistry.from_rows(self.rows())
         tree = dtree.fit([((0.5,), 5)] * 3)  # class index outside the registry
         with pytest.raises(UnknownClass):
-            dtree.predict_hierarchical(tree, reg, (0.5,))
+            reg.label(dtree.predict_class(tree, (0.5,)))

@@ -19,7 +19,7 @@ from fishid.features import (
 )
 from fishid.imageio import RgbImage, to_indexed
 from fishid.pipeline import PipelineConfig, analyze_image
-from fishid.segment import Contour, FishMask, extract_mask, group_by_color, trace_contour
+from fishid.segment import FishMask, extract_mask, group_by_color, trace_contour
 
 
 def shape_inputs(px, bg=(0, 0, 255), tol=50.0, eps=30.0):
@@ -68,7 +68,7 @@ class TestAnalyticCases:
 
     def test_extreme_triangle_on_diamond(self):
         pts = np.array([(0, 5), (5, 0), (10, 5), (5, 10)], dtype=np.int64)
-        tri = extreme_triangles(Contour(pts, 0.0))
+        tri = extreme_triangles(pts)
         assert tri.p_xmin == (0, 5)
         assert tri.p_xmax == (10, 5)
         assert tri.p_ymin == (5, 0)

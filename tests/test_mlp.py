@@ -232,16 +232,3 @@ class TestTrain:
         after = mlp.sample_error(d, mlp.forward(m, x))
         assert after <= before
 
-
-class TestPredict:
-    def test_argmax(self):
-        m = zeroed((2, 2, 2))
-        m.weights[1][1, 2] = 3.0  # raise output 1's bias
-        scores, idx = mlp.predict(m, np.zeros(2))
-        assert idx == 1
-
-    def test_tie_takes_lowest_index(self):
-        m = zeroed((2, 2, 2))
-        scores, idx = mlp.predict(m, np.zeros(2))
-        assert scores[0] == scores[1] == 0.5
-        assert idx == 0

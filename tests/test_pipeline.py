@@ -201,6 +201,19 @@ class TestPersistence:
         with pytest.raises(CorruptModel):
             load_bundle(_edited_model(small_bundle, tmp_path, edit))
 
+    def test_input_width_must_be_the_descriptor(self, small_bundle, tmp_path):
+        def edit(doc):  # 3 inputs, with the weights cut to match
+            doc["mlp"]["layer_sizes"][0] = 3
+            doc["mlp"]["weights"][0] = [row[:3] + row[-1:] for row in doc["mlp"]["weights"][0]]
+        with pytest.raises(CorruptModel, match="input layer"):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    def test_nan_background_tolerance(self, small_bundle, tmp_path):
+        def edit(doc):
+            doc["preprocess"]["background_tolerance"] = float("nan")
+        with pytest.raises(CorruptModel):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
     def test_feature_layout_mismatch(self, small_bundle, tmp_path):
         def edit(doc):
             doc["feature_layout_version"] = 99

@@ -43,14 +43,14 @@ class TestMedianFilter:
 
     def test_constant_field_unchanged(self):
         img = RgbImage(np.full((5, 4, 3), 7, dtype=np.uint8))
-        assert median_filter(img, 1).same_as(img)
+        assert np.array_equal(median_filter(img, 1).pixels, img.pixels)
 
     @given(st.integers(0, 255), st.sampled_from([1, 2]))
     def test_idempotent_on_constant_images(self, v, radius):
         img = RgbImage(np.full((6, 6, 3), v, dtype=np.uint8))
         once = median_filter(img, radius)
         twice = median_filter(once, radius)
-        assert twice.same_as(once)
+        assert np.array_equal(twice.pixels, once.pixels)
 
     def test_bad_radius(self):
         img = RgbImage(np.zeros((3, 3, 3), dtype=np.uint8))

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fishid.errors import CanvasTooSmall, EmptyManifest
+from fishid.errors import CanvasTooSmall, EmptyManifest, InvalidConfig
 from fishid.features import find_head_side
 from fishid.imageio import load_manifest
 from fishid.segment import extract_mask
@@ -56,7 +56,7 @@ class TestRenderFish:
         spec = default_families()[3]
         a = render_fish(spec, 99, cfg)
         b = render_fish(spec, 99, cfg)
-        assert a.same_as(b)
+        assert np.array_equal(a.pixels, b.pixels)
 
     def test_canvas_too_small(self):
         cfg = SynthConfig(width=64, height=64)
@@ -125,6 +125,14 @@ class TestGenerateCorpus:
         assert open(manifest).read() == "path,family,poison,cluster,split\n"
         with pytest.raises(EmptyManifest):
             load_manifest(manifest)
+
+    @pytest.mark.parametrize("counts", [
+        {"train_counts": {"scombridae": 1}},
+        {"test_counts": {"Scombridae": -1}},
+    ], ids=["unknown-family", "negative-count"])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(InvalidConfig):
+            SynthConfig(**counts)
 
     def test_hierarchy_is_consistent(self, tmp_path):
         cfg = SynthConfig(
