@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import pipeline, synthgen
@@ -80,6 +81,9 @@ _REQUIRED = {
     "classify": ("model", "image"),
 }
 
+# the file a command writes after all its work: its directory is checked first
+_WRITES = {"extract": "out", "train": "out", "evaluate": "report"}
+
 
 def _read_config(path):
     values = {}
@@ -122,6 +126,9 @@ def _merge_options(command, args):
     for dest in _REQUIRED[command]:
         if merged[dest] is None:
             raise ToolkitError(f"{command} requires --{dest.replace('_', '-')}")
+    path = merged.get(_WRITES.get(command))
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise IoFailure(f"cannot write {path}: its directory does not exist")
     return merged
 
 

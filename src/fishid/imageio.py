@@ -165,6 +165,11 @@ def to_indexed(img: RgbImage) -> np.ndarray:
     return np.clip(np.floor(lum + 0.5), 0, 255).astype(np.uint8)
 
 
+def sq_distance(a, b) -> np.ndarray:
+    """Exact int32 squared RGB distance, summed per channel (a size-3 axis sum is slower)."""
+    return sum((a[..., c].astype(np.int32) - b[..., c]) ** 2 for c in range(3))
+
+
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a dataset manifest, validating rows and the label hierarchy."""
     try:

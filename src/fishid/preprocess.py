@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import EmptyForeground, ImageTooSmall, InvalidConfig
-from .imageio import RgbImage
+from .imageio import RgbImage, sq_distance
 
 # skip resampling when the measured orientation is below half a degree
 _ROTATION_SKIP_RAD = math.radians(0.5)
@@ -42,17 +42,24 @@ def median_filter(img: RgbImage, radius: int) -> RgbImage:
     if radius == 0:
         return img
     h, w = img.height, img.width
-    padded = np.pad(img.pixels, ((radius, radius), (radius, radius), (0, 0)), mode="edge")
-    side = 2 * radius + 1
-    stack = np.empty((side * side, h, w, 3), dtype=np.uint8)
-    k = 0
-    for dy in range(side):
-        for dx in range(side):
-            stack[k] = padded[dy : dy + h, dx : dx + w]
-            k += 1
-    # the window is odd-sized, so the median is the middle order statistic
-    mid = (side * side) // 2
-    return RgbImage(np.partition(stack, mid, axis=0)[mid])
+    p = np.pad(img.pixels, ((radius, radius), (radius, radius), (0, 0)), mode="edge")
+    if radius == 2:
+        stack = np.stack([p[dy : dy + h, dx : dx + w] for dy in range(5) for dx in range(5)])
+        return RgbImage(np.partition(stack, 12, axis=0)[12])  # middle of 25
+    # Paeth's 19-exchange median-of-9 network on the window rows p0..p8.
+    # Exchanges 1-9 sort each row, once for the three windows sharing it.
+    mn, mx = np.minimum, np.maximum
+    a, b, c = p[:, :-2], p[:, 1:-1], p[:, 2:]
+    b, c = mn(b, c), mx(b, c)
+    a, b = mn(a, b), mx(a, b)
+    b, c = mn(b, c), mx(b, c)
+    p0, p1, p2 = a[:-2], b[:-2], c[:-2]
+    p3, p4, p5 = a[1:-1], b[1:-1], c[1:-1]
+    p6, p7, p8 = a[2:], b[2:], c[2:]
+    # exchanges 10-19, keeping only the outputs later exchanges read
+    p3, p5, p4, p7 = mx(p0, p3), mn(p5, p8), mn(p4, p7), mx(p4, p7)
+    p6, p4, p2 = mx(p3, p6), mn(mx(p1, p4), p7), mn(p2, p5)
+    return RgbImage(mn(mx(p6, mn(p4, p2)), mx(p4, p2)))
 
 
 def unify_background(img: RgbImage, cfg: PreprocessConfig):
@@ -72,17 +79,18 @@ def unify_background(img: RgbImage, cfg: PreprocessConfig):
     )
     colors, counts = np.unique(border, axis=0, return_counts=True)
     bg = colors[int(np.argmax(counts))]  # unique sorts lexicographically
-    # compare squared distances; exact because the pixel deltas are integers
-    diff = px.astype(np.int32) - bg
-    d2 = np.sum(diff * diff, axis=2)
+    near = sq_distance(px, bg) <= cfg.background_tolerance**2
     out = px.copy()
-    out[d2 <= cfg.background_tolerance**2] = bg
+    for c in range(3):
+        out[..., c][near] = bg[c]
     return RgbImage(out), (int(bg[0]), int(bg[1]), int(bg[2]))
 
 
 def _foreground_coords(img: RgbImage, background_color):
     bg = np.array(background_color, dtype=np.uint8)
-    fg = np.any(img.pixels != bg, axis=2)
+    fg = img.pixels[..., 0] != bg[0]
+    for c in (1, 2):
+        fg |= img.pixels[..., c] != bg[c]
     if not fg.any():
         raise EmptyForeground("image has no non-background pixels")
     return np.nonzero(fg)

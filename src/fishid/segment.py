@@ -14,7 +14,7 @@ from scipy import ndimage, sparse
 from scipy.sparse import csgraph
 
 from .errors import EmptyForeground
-from .imageio import RgbImage
+from .imageio import RgbImage, sq_distance
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -71,19 +71,23 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
     if fg_tolerance <= 0:
         raise ValueError("fg_tolerance must be > 0")
     bg = np.asarray(background_color, dtype=np.int32)
-    # squared-distance comparison is exact for integer pixel deltas
-    diff = img.pixels.astype(np.int32) - bg
-    fg = np.sum(diff * diff, axis=2) > fg_tolerance * fg_tolerance
-    if not fg.any():
+    fg = sq_distance(img.pixels, bg) > fg_tolerance * fg_tolerance
+    rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
+    if rows.size == 0:
         raise EmptyForeground("no pixel exceeds the foreground tolerance")
-    labels, count = ndimage.label(fg, structure=_FOUR)
+    # label only the rows and columns holding foreground; row-major order in
+    # the crop is full-frame row-major order, so size ties break the same
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    labels, count = ndimage.label(fg[box], structure=_FOUR)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     best_size = sizes.max()
     flat = labels.ravel()
     # first row-major pixel belonging to any largest component wins
     winner = flat[int(np.argmax(sizes[flat] == best_size))]
-    return FishMask.from_bits(labels == winner)
+    bits = np.zeros_like(fg)
+    bits[box] = labels == winner
+    return FishMask.from_bits(bits)
 
 
 def trace_contour(mask: FishMask) -> Contour:
@@ -160,13 +164,12 @@ def group_by_color(mask: FishMask, img: RgbImage, eps: float) -> ColorGroups:
     if eps < 0:
         raise ValueError("eps must be >= 0")
     bits = mask.crop(mask.bits)
-    px = mask.crop(img.pixels).astype(np.int32)
+    px = mask.crop(img.pixels)
     h, w = bits.shape
     ids = np.arange(h * w).reshape(h, w)
-    # squared-distance comparison is exact for integer pixel deltas
-    right = np.sum((px[:, 1:] - px[:, :-1]) ** 2, axis=2) <= eps * eps
+    right = sq_distance(px[:, 1:], px[:, :-1]) <= eps * eps
     right &= bits[:, 1:] & bits[:, :-1]
-    down = np.sum((px[1:] - px[:-1]) ** 2, axis=2) <= eps * eps
+    down = sq_distance(px[1:], px[:-1]) <= eps * eps
     down &= bits[1:] & bits[:-1]
     a = np.concatenate((ids[:, :-1][right], ids[:-1][down]))
     b = np.concatenate((ids[:, 1:][right], ids[1:][down]))

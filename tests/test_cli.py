@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from fishid import pipeline
 from fishid.cli import main
 from fishid.imageio import load_manifest
 from fishid.pipeline import save_bundle, train_bundle
@@ -235,3 +236,23 @@ def test_file_errors_are_error_lines(case, cli_workdir, cli_corpus, cli_model, c
                                 "--out", os.fspath(missing_dir / "f.csv")],
     }[case]
     one_error_line(capsys, main(argv))
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "extract"])
+def test_missing_output_dir_fails_before_any_image_is_analyzed(
+    command, cli_workdir, cli_corpus, cli_model, monkeypatch, capsys
+):
+    def refuse(*args):
+        raise AssertionError("an image was analyzed")
+
+    monkeypatch.setattr(pipeline, "analyze_image", refuse)
+    target = cli_workdir / "no-such-dir" / "out.file"
+    manifest = ["--manifest", os.fspath(cli_corpus)]
+    argv = {
+        "train": ["train", *manifest, "--out", os.fspath(target)],
+        "evaluate": ["evaluate", "--model", os.fspath(cli_model), *manifest,
+                     "--report", os.fspath(target)],
+        "extract": ["extract", *manifest, "--out", os.fspath(target)],
+    }[command]
+    assert "no-such-dir" in one_error_line(capsys, main(argv))
+    assert not target.parent.exists()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fishid import synthgen
 from fishid.errors import EmptyForeground, ImageTooSmall
@@ -56,6 +56,24 @@ class TestMedianFilter:
         img = RgbImage(np.zeros((3, 3, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
             median_filter(img, 3)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([2, 3, 256]))
+    def test_matches_np_median_of_padded_windows(self, seed, radius, levels):
+        """Oracle: np.median over each edge-padded (2r+1)^2 window, per channel,
+        for every shape from 1x1 to 8x8. Few levels (0/255 included) put many
+        equal values in one window."""
+        rng = np.random.default_rng(seed)
+        side = 2 * radius + 1
+        for h in range(1, 9):
+            for w in range(1, 9):
+                px = (rng.integers(0, levels, (h, w, 3)) * (255 // (levels - 1))).astype(np.uint8)
+                padded = np.pad(px, ((radius, radius), (radius, radius), (0, 0)), mode="edge")
+                windows = np.lib.stride_tricks.sliding_window_view(padded, (side, side), (0, 1))
+                expected = np.median(windows, axis=(-2, -1))
+                out = median_filter(RgbImage(px), radius).pixels
+                assert out.dtype == np.uint8
+                assert np.array_equal(out, expected), (h, w)
 
 
 class TestUnifyBackground:

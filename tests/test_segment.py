@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from fishid import synthgen
 from fishid.errors import EmptyForeground
-from fishid.imageio import RgbImage
+from fishid.imageio import RgbImage, sq_distance
 from fishid.segment import (
     FishMask,
     divide_segments,
@@ -82,6 +83,39 @@ def disk_mask(r=50, pad=10):
     return FishMask.from_bits(bits)
 
 
+def full_frame_mask(px, background, tol):
+    """Reference: ndimage.label over the whole frame; the largest component
+    holding the first row-major pixel wins."""
+    d = px.astype(np.int64) - np.asarray(background, dtype=np.int64)
+    labels, count = ndimage.label((d * d).sum(axis=2) > tol * tol)  # 4-connected
+    if count == 0:
+        return labels > 0
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    first = next(i for i, lab in enumerate(labels.ravel()) if sizes[lab] == sizes.max())
+    return labels == labels.ravel()[first]
+
+
+class TestSqDistance:
+    @settings(max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_int64_reference(self, h, w, seed):
+        rng = np.random.default_rng(seed)
+        extremes = np.array([0, 1, 254, 255], dtype=np.uint8)
+        a, b = (rng.choice(extremes, (h, w, 3)) if rng.random() < 0.5
+                else rng.integers(0, 256, (h, w, 3), dtype=np.uint8) for _ in range(2))
+        ref = ((a.astype(np.int64) - b) ** 2).sum(axis=2)
+        assert np.array_equal(sq_distance(a, b), ref)
+        for color in (b[0, 0], b[0, 0].astype(np.int32)):
+            ref = ((a.astype(np.int64) - color.astype(np.int64)) ** 2).sum(axis=2)
+            assert np.array_equal(sq_distance(a, color), ref)
+
+    def test_extreme_channels(self):
+        white = np.full((1, 2, 3), 255, dtype=np.uint8)
+        assert sq_distance(white, np.zeros(3, dtype=np.uint8)).tolist() == [[3 * 255**2] * 2]
+        assert sq_distance(white, white).tolist() == [[0, 0]]
+
+
 class TestExtractMask:
     def test_single_square(self):
         px = canvas(40, 30)
@@ -108,6 +142,46 @@ class TestExtractMask:
     def test_all_background(self):
         with pytest.raises(EmptyForeground):
             extract_mask(RgbImage(canvas(10, 10)), (0, 0, 255), 50.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.05, 0.7),
+        st.sampled_from([None, "top", "bottom", "left", "right"]),
+        st.sampled_from([30.0, 60.0, 100.0]) | st.floats(1.0, 300.0),
+    )
+    def test_matches_full_frame_labeling(self, h, w, seed, density, edge, tol):
+        """Random multi-component canvases; a strip can pin a component to
+        one frame edge. Colors on a 60-step grid put distances exactly at tol."""
+        rng = np.random.default_rng(seed)
+        background = tuple(int(v) for v in rng.integers(0, 5, 3) * 60)
+        px = (rng.integers(0, 5, (h, w, 3)) * 60).astype(np.uint8)
+        px[rng.random((h, w)) >= density] = background
+        strip = {"top": (0, slice(None)), "bottom": (-1, slice(None)),
+                 "left": (slice(None), 0), "right": (slice(None), -1)}.get(edge)
+        if strip is not None:
+            px[strip] = [255 - v for v in background]
+        expected = full_frame_mask(px, background, tol)
+        if not expected.any():
+            with pytest.raises(EmptyForeground):
+                extract_mask(RgbImage(px), background, tol)
+            return
+        mask = extract_mask(RgbImage(px), background, tol)
+        assert np.array_equal(mask.bits, expected)
+        assert mask.area == int(expected.sum())
+        assert mask.bbox == FishMask.from_bits(expected).bbox
+
+    @pytest.mark.parametrize("y, x", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
+    def test_single_pixel_in_a_corner(self, y, x):
+        px = canvas(7, 5)
+        px[y, x] = (255, 0, 0)
+        mask = extract_mask(RgbImage(px), (0, 0, 255), 50.0)
+        expected = np.zeros((5, 7), dtype=bool)
+        expected[y, x] = True
+        assert np.array_equal(mask.bits, expected)
+        assert mask.area == 1
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_output_is_single_component(self, seed):
