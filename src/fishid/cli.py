@@ -144,8 +144,7 @@ def _cmd_gen_synth(opt) -> int:
 
 
 def _cmd_extract(opt) -> int:
-    config = pipeline.PipelineConfig()
-    entries, rows = extract_manifest_features(opt["manifest"], config)
+    entries, rows = extract_manifest_features(opt["manifest"])
     write_features_csv(
         opt["out"],
         (

@@ -55,9 +55,11 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InconsistentInputs, IoFailure
 from .imageio import RgbImage
+from .preprocess import central_moments
 from .segment import ColorGroups, Contour, FishMask
 
 FEATURE_COUNT = 47
@@ -129,8 +131,7 @@ def extract_features(
 
     bits = mask.crop(mask.bits)
     ly, lx = np.nonzero(bits)  # row-major, bbox-local
-    cxl = float(lx.sum() / A)
-    cyl = float(ly.sum() / A)
+    cxl, cyl, s20, s02, s11 = central_moments(ly, lx)
     cpts = contour.points - np.array([x0, y0], dtype=np.int64)
 
     f = np.zeros(FEATURE_COUNT, dtype=np.float64)
@@ -158,16 +159,12 @@ def extract_features(
                 f[6 + s] = float(radii[sel].max()) / rmax
 
     # solidity and extent
-    hull_area = _polygon_area(_convex_hull(cpts))
+    hull_area = _hull_area(cpts)
     f[14] = 1.0 if hull_area <= 0.0 else min(1.0, A / hull_area)
     f[15] = A / (w * h)
 
     # eccentricity and orientation from central second moments
-    dx = lx - cxl
-    dy = ly - cyl
-    s20 = float(dx @ dx) / A
-    s02 = float(dy @ dy) / A
-    s11 = float(dx @ dy) / A
+    s20, s02, s11 = s20 / A, s02 / A, s11 / A
     half_tr = 0.5 * (s20 + s02)
     root = math.hypot(0.5 * (s20 - s02), s11)
     lam1 = half_tr + root
@@ -266,37 +263,16 @@ def _boundary_count(bits: np.ndarray) -> int:
     return int(np.count_nonzero(bits & ~inner))
 
 
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    """Andrew monotone chain over integer points; returns hull vertices."""
-    uniq = np.unique(pts, axis=0)  # sorted lexicographically by (x, y)
-    if len(uniq) <= 2:
-        return uniq
-    pts_list = [tuple(p) for p in uniq]
-
-    def half(points):
-        chain = []
-        for p in points:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts_list)
-    upper = half(pts_list[::-1])
-    return np.array(lower[:-1] + upper[:-1], dtype=np.int64)
-
-
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _polygon_area(pts: np.ndarray) -> float:
-    if len(pts) < 3:
+def _hull_area(pts: np.ndarray) -> float:
+    """Convex hull area of (n, 2) integer points: Qhull finds the vertices,
+    an exact integer shoelace sums them. Fewer than three points or a
+    collinear set have no 2-D hull; their area is 0."""
+    try:
+        hull = pts[ConvexHull(pts).vertices]
+    except QhullError:
         return 0.0
-    x = pts[:, 0]
-    y = pts[:, 1]
-    s = x @ np.roll(y, -1) - np.roll(x, -1) @ y
-    return abs(float(s)) / 2.0
+    x, y = hull[:, 0], hull[:, 1]
+    return abs(float(x @ np.roll(y, -1) - np.roll(x, -1) @ y)) / 2.0
 
 
 def write_features_csv(path, rows) -> None:

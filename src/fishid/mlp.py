@@ -42,6 +42,8 @@ class TrainConfig:
             raise InvalidConfig("epsilon must be > 0")
         if self.max_epochs < 1:
             raise InvalidConfig("max_epochs must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
         if not self.init_scale > 0:
             raise InvalidConfig("init_scale must be > 0")
 
@@ -173,8 +175,7 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
         total = 0.0
         for i in order:
             out, gradient = _gradient(model, xs[i], ds[i])
-            r = ds[i] - out
-            err = 0.5 * float(r @ r)
+            err = sample_error(ds[i], out)
             if not np.isfinite(err):
                 raise NonFiniteError(f"sample error diverged to {err}")
             total += err

@@ -171,24 +171,25 @@ def _featurize(entries, manifest_path, config: PipelineConfig) -> np.ndarray:
     return rows
 
 
-def extract_manifest_features(manifest_path, config: PipelineConfig):
-    """Features for every manifest row, in manifest order.
+def extract_manifest_features(manifest_path):
+    """Features for every manifest row, in manifest order, under the default
+    ``PipelineConfig``.
 
     Returns ``(entries, matrix)`` with one feature row per entry; image paths
     are resolved relative to the manifest's directory.
     """
     entries = load_manifest(manifest_path)
-    return entries, _featurize(entries, manifest_path, config)
+    return entries, _featurize(entries, manifest_path, PipelineConfig())
 
 
 def train_bundle(
     manifest_path,
     train_cfg: TrainConfig = DEFAULT_TRAIN,
     hidden: int = DEFAULT_HIDDEN,
-    config: PipelineConfig = PipelineConfig(),
 ) -> TrainedBundle:
     """Train the score network on the manifest's train split, then fit the
-    tree on the network's outputs. Deterministic given the config seed."""
+    tree on the network's outputs, under the default ``PipelineConfig``.
+    Deterministic given the config seed."""
     entries = load_manifest(manifest_path)
     registry = LabelRegistry.from_rows(
         (e.family, e.poison, e.cluster) for e in entries
@@ -201,12 +202,15 @@ def train_bundle(
         if name not in seen:
             raise ClassMissing(f"class {name!r} has no train rows")
 
+    # init draws from its own seeded generator, so a bad architecture
+    # fails here, before any image is analyzed, without changing the weights
+    model = mlp.init((FEATURE_COUNT, hidden, len(registry)), train_cfg)
+    config = PipelineConfig()
     X = _featurize(train_entries, manifest_path, config)
     labels = [registry.index_of(e.family) for e in train_entries]
     targets = np.zeros((len(train_entries), len(registry)), dtype=np.float64)
     targets[np.arange(len(labels)), labels] = 1.0
 
-    model = mlp.init((FEATURE_COUNT, hidden, len(registry)), train_cfg)
     samples = [mlp.TrainingSample(x, d) for x, d in zip(X, targets)]
     mlp.train(model, samples, train_cfg)
 

@@ -96,22 +96,20 @@ def _foreground_coords(img: RgbImage, background_color):
     return np.nonzero(fg)
 
 
-def _orientation(ys, xs) -> float:
-    # bbox-local coordinates keep the math exact under whole-pixel shifts
+def central_moments(ys, xs):
+    """Centroid and central second moments of a pixel set.
+
+    Returns ``(cx, cy, s20, s02, s11)``: the centroid in coordinates local to
+    the set's bounding box (exact under whole-pixel shifts) and the
+    unnormalized sums of ``dx*dx``, ``dy*dy`` and ``dx*dy`` about it.
+    """
     lx = (xs - xs.min()).astype(np.float64)
     ly = (ys - ys.min()).astype(np.float64)
-    lx -= lx.sum() / lx.size
-    ly -= ly.sum() / ly.size
-    s20 = float(lx @ lx)
-    s02 = float(ly @ ly)
-    s11 = float(lx @ ly)
-    return 0.5 * math.atan2(2.0 * s11, s20 - s02)
-
-
-def foreground_orientation(img: RgbImage, background_color) -> float:
-    """Principal-axis angle of the non-background pixel set, in radians."""
-    ys, xs = _foreground_coords(img, background_color)
-    return _orientation(ys, xs)
+    cx = lx.sum() / lx.size
+    cy = ly.sum() / ly.size
+    lx -= cx
+    ly -= cy
+    return float(cx), float(cy), float(lx @ lx), float(ly @ ly), float(lx @ ly)
 
 
 def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
@@ -123,13 +121,12 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     returned unchanged.
     """
     ys, xs = _foreground_coords(img, background_color)
-    theta = _orientation(ys, xs)
+    cx, cy, s20, s02, s11 = central_moments(ys, xs)
+    theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     if abs(theta) < _ROTATION_SKIP_RAD:
         return img
     bg = np.array(background_color, dtype=np.uint8)
     x0, y0 = int(xs.min()), int(ys.min())
-    cx = float((xs - x0).sum() / xs.size)
-    cy = float((ys - y0).sum() / ys.size)
     h, w = img.height, img.width
     # output pixel p maps to source R(theta) (p - c) + c, all in local coords;
     # rounding before the integer offset is re-applied keeps translation exact

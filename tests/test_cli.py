@@ -190,11 +190,12 @@ def test_config_errors_are_error_lines(cli_workdir, capsys, name, content, named
         (["train", "--epsilon", "0"], "epsilon"),
         (["train", "--epsilon", "nan"], "epsilon"),
         (["train", "--max-epochs", "0"], "max_epochs"),
+        (["train", "--seed", "-1"], "seed"),
         (["gen-synth", "--seed", "-1"], "seed"),
         (["gen-synth", "--train-count", "scombridae=1"], "'scombridae'"),
     ],
-    ids=["eta", "eta-nan", "alpha", "epsilon", "epsilon-nan", "max-epochs", "seed",
-         "family-name"],
+    ids=["eta", "eta-nan", "alpha", "epsilon", "epsilon-nan", "max-epochs", "train-seed",
+         "seed", "family-name"],
 )
 def test_invalid_settings_are_error_lines(cli_workdir, capsys, argv, named):
     out = os.fspath(cli_workdir / "never-written")
@@ -256,3 +257,17 @@ def test_missing_output_dir_fails_before_any_image_is_analyzed(
     }[command]
     assert "no-such-dir" in one_error_line(capsys, main(argv))
     assert not target.parent.exists()
+
+
+def test_bad_hidden_fails_before_any_image_is_analyzed(
+    cli_workdir, cli_corpus, monkeypatch, capsys
+):
+    def refuse(*args):
+        raise AssertionError("an image was analyzed")
+
+    monkeypatch.setattr(pipeline, "analyze_image", refuse)
+    out = cli_workdir / "never-written.json"
+    argv = ["train", "--manifest", os.fspath(cli_corpus), "--out", os.fspath(out),
+            "--hidden", "0"]
+    assert "layer sizes" in one_error_line(capsys, main(argv))
+    assert not out.exists()

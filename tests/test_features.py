@@ -2,10 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fishid import synthgen
 from fishid.errors import InconsistentInputs
 from fishid.features import (
+    _hull_area,
     COLOR_SLICE,
     FEATURE_COUNT,
     GEOMETRY_SLICE,
@@ -92,6 +94,57 @@ class TestAnalyticCases:
         other = RgbImage(np.zeros((3, 3, 3), dtype=np.uint8))
         with pytest.raises(InconsistentInputs):
             extract_features(other, idx, mask, contour, groups)
+
+
+def monotone_chain_area(points) -> float:
+    """Reference hull area: Andrew's monotone chain, then the shoelace, all
+    in Python integers."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return 0.0
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    hull = half(pts) + half(pts[::-1])
+    twice = sum(
+        x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1])
+    )
+    return abs(twice) / 2.0
+
+
+@st.composite
+def point_sets(draw):
+    """Small integer point sets: scattered (with duplicates on a small
+    grid), or all on one line; coordinates up to a 1600x820 frame's."""
+    bound = draw(st.sampled_from([3, 12, 1600]))
+    coord = st.integers(0, bound)
+    if draw(st.booleans()):
+        return draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    x0, y0 = draw(coord), draw(coord)
+    dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    steps = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=20))
+    return [(x0 + t * dx, y0 + t * dy) for t in steps]
+
+
+class TestHullArea:
+    @given(point_sets())
+    @example([(5, 5)])
+    @example([(0, 0), (7, 3)])
+    @example([(2, 2), (2, 2), (2, 2)])
+    @example([(0, 0), (1, 1), (2, 2), (1, 1), (3, 3)])
+    @example([(0, 0), (4, 0), (0, 3), (0, 3), (4, 0), (1, 1), (2, 0)])
+    def test_matches_monotone_chain(self, points):
+        pts = np.array(points, dtype=np.int64)
+        assert _hull_area(pts) == monotone_chain_area(points)
 
 
 class TestHeadSide:

@@ -18,7 +18,6 @@ from fishid.features import FEATURE_COUNT
 from fishid.imageio import RgbImage, encode_ppm, load_manifest, write_manifest
 from fishid.mlp import TrainConfig
 from fishid.pipeline import (
-    PipelineConfig,
     evaluate,
     extract_manifest_features,
     format_report,
@@ -244,7 +243,7 @@ def _edited_model(bundle, tmp_path, edit):
 class TestExtractFeatures:
     def test_rows_match_manifest_order(self, small_corpus):
         manifest, _ = small_corpus
-        entries, rows = extract_manifest_features(manifest, PipelineConfig())
+        entries, rows = extract_manifest_features(manifest)
         assert rows.shape == (len(entries), FEATURE_COUNT)
         assert np.isfinite(rows).all()
         assert (rows >= 0).all() and (rows <= 1).all()

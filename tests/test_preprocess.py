@@ -9,7 +9,7 @@ from fishid.errors import EmptyForeground, ImageTooSmall
 from fishid.imageio import RgbImage
 from fishid.preprocess import (
     PreprocessConfig,
-    foreground_orientation,
+    central_moments,
     median_filter,
     normalize_rotation,
     unify_background,
@@ -130,7 +130,9 @@ class TestNormalizeRotation:
     def test_thirty_degree_ellipse_straightened(self):
         img = rotated_ellipse(30)
         out = normalize_rotation(img, (255, 255, 255))
-        residual = math.degrees(foreground_orientation(out, (255, 255, 255)))
+        ys, xs = np.nonzero(np.any(out.pixels != 255, axis=2))
+        _, _, s20, s02, s11 = central_moments(ys, xs)
+        residual = math.degrees(0.5 * math.atan2(2.0 * s11, s20 - s02))
         assert abs(residual) < 2.0
 
     def test_all_background_raises(self):

@@ -149,10 +149,10 @@ class TestGenerateCorpus:
 def test_default_corpus_classes_are_separable(tmp_path):
     """Per class, the nearest other centroid sits at least three mean
     intra-class distances away (at least 6 of 7 classes)."""
-    from fishid.pipeline import PipelineConfig, extract_manifest_features
+    from fishid.pipeline import extract_manifest_features
 
     manifest, _ = generate_corpus(tmp_path / "c", SynthConfig(seed=0))
-    entries, feats = extract_manifest_features(manifest, PipelineConfig())
+    entries, feats = extract_manifest_features(manifest)
     train = np.array([e.split == "train" for e in entries])
     families = sorted({e.family for e in entries})
     labels = np.array([families.index(e.family) for e in entries])
