@@ -225,9 +225,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         merged = _merge_options(args.command, args)
-        return _HANDLERS[args.command](merged)
+        rc = _HANDLERS[args.command](merged)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return rc
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left early (``fishid evaluate ... | head``); point stdout
+        # at devnull so the interpreter's final flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

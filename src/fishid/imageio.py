@@ -170,6 +170,19 @@ def sq_distance(a, b) -> np.ndarray:
     return sum((a[..., c].astype(np.int32) - b[..., c]) ** 2 for c in range(3))
 
 
+def differs_window(pixels: np.ndarray, color):
+    """The (row, column) slice pair bounding the pixels unequal to ``color``
+    in some channel, or ``None`` when every pixel equals it."""
+    h, w, _ = pixels.shape
+    # one contiguous uint8 compare over the interleaved rows is the fastest scan
+    differs = pixels.reshape(h, 3 * w) != np.tile(np.asarray(color, dtype=np.uint8), w)
+    rows = np.flatnonzero(differs.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(differs.any(axis=0).reshape(w, 3).any(axis=1))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a dataset manifest, validating rows and the label hierarchy."""
     try:

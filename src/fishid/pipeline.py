@@ -130,7 +130,9 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     mask = _staged("mask", extract_mask, rotated, background, config.fg_tolerance)
     if find_head_side(mask) == "right":
         rotated = RgbImage(rotated.pixels[:, ::-1].copy())
-        mask = FishMask.from_bits(mask.bits[:, ::-1].copy())
+        x0, y0, w, h = mask.bbox
+        mirrored = (rotated.width - x0 - w, y0, w, h)
+        mask = FishMask(mask.bits[:, ::-1].copy(), mask.area, mirrored)
     contour = _staged("contour", trace_contour, mask)
     groups = _staged("color-groups", group_by_color, mask, rotated, config.group_tolerance)
     idx = to_indexed(rotated)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import EmptyForeground, ImageTooSmall, InvalidConfig
-from .imageio import RgbImage, sq_distance
+from .imageio import RgbImage, differs_window, sq_distance
 
 # skip resampling when the measured orientation is below half a degree
 _ROTATION_SKIP_RAD = math.radians(0.5)
@@ -87,13 +87,13 @@ def unify_background(img: RgbImage, cfg: PreprocessConfig):
 
 
 def _foreground_coords(img: RgbImage, background_color):
-    bg = np.array(background_color, dtype=np.uint8)
-    fg = img.pixels[..., 0] != bg[0]
-    for c in (1, 2):
-        fg |= img.pixels[..., c] != bg[c]
-    if not fg.any():
+    box = differs_window(img.pixels, background_color)
+    if box is None:
         raise EmptyForeground("image has no non-background pixels")
-    return np.nonzero(fg)
+    fg = img.pixels[box] != np.asarray(background_color, dtype=np.uint8)
+    # row-major order inside the window is row-major order in the frame
+    ys, xs = np.nonzero(fg[..., 0] | fg[..., 1] | fg[..., 2])
+    return ys + box[0].start, xs + box[1].start
 
 
 def central_moments(ys, xs):
@@ -125,21 +125,30 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     if abs(theta) < _ROTATION_SKIP_RAD:
         return img
-    bg = np.array(background_color, dtype=np.uint8)
     x0, y0 = int(xs.min()), int(ys.min())
+    bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
     h, w = img.height, img.width
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
     # output pixel p maps to source R(theta) (p - c) + c, all in local coords;
-    # rounding before the integer offset is re-applied keeps translation exact
-    gx = np.arange(w, dtype=np.float64) - x0
-    gy = np.arange(h, dtype=np.float64) - y0
+    # rounding in local coords keeps translation exact. Every source pixel
+    # outside the foreground bbox is background, so only outputs near the
+    # preimage R(theta)^T (s - c) + c of the bbox corners s are resampled;
+    # rint moves a source by at most half a pixel, 2 px of padding covers it
+    sx = np.array([0.0, bw - 1, 0.0, bw - 1]) - cx
+    sy = np.array([0.0, 0.0, bh - 1, bh - 1]) - cy
+    ox = cos_t * sx + sin_t * sy + cx + x0
+    oy = cos_t * sy - sin_t * sx + cy + y0
+    wx0, wx1 = max(math.floor(ox.min()) - 2, 0), min(math.ceil(ox.max()) + 3, w)
+    wy0, wy1 = max(math.floor(oy.min()) - 2, 0), min(math.ceil(oy.max()) + 3, h)
+    gx = np.arange(wx0, wx1, dtype=np.float64) - x0
+    gy = np.arange(wy0, wy1, dtype=np.float64) - y0
     u = gx[np.newaxis, :] - cx
     v = gy[:, np.newaxis] - cy
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    src_x = np.rint(cos_t * u - sin_t * v + cx).astype(np.int64) + x0
-    src_y = np.rint(sin_t * u + cos_t * v + cy).astype(np.int64) + y0
-    valid = (src_x >= 0) & (src_x < w) & (src_y >= 0) & (src_y < h)
+    src_x = np.rint(cos_t * u - sin_t * v + cx).astype(np.int64)
+    src_y = np.rint(sin_t * u + cos_t * v + cy).astype(np.int64)
+    valid = (src_x >= 0) & (src_x < bw) & (src_y >= 0) & (src_y < bh)
     out = np.empty_like(img.pixels)
-    out[:] = bg
-    oy, ox = np.nonzero(valid)
-    out[oy, ox] = img.pixels[src_y[oy, ox], src_x[oy, ox]]
+    out[:] = background_color
+    fish = img.pixels[y0 : y0 + bh, x0 : x0 + bw]
+    out[wy0:wy1, wx0:wx1][valid] = fish[src_y[valid], src_x[valid]]
     return RgbImage(out)

@@ -14,7 +14,7 @@ from scipy import ndimage, sparse
 from scipy.sparse import csgraph
 
 from .errors import EmptyForeground
-from .imageio import RgbImage, sq_distance
+from .imageio import RgbImage, differs_window, sq_distance
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -70,24 +70,29 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
     row-major pixel index)."""
     if fg_tolerance <= 0:
         raise ValueError("fg_tolerance must be > 0")
-    bg = np.asarray(background_color, dtype=np.int32)
-    fg = sq_distance(img.pixels, bg) > fg_tolerance * fg_tolerance
-    rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
-    if rows.size == 0:
+    box = differs_window(img.pixels, background_color)
+    if box is None:  # a pixel equal to the background is at distance 0
         raise EmptyForeground("no pixel exceeds the foreground tolerance")
-    # label only the rows and columns holding foreground; row-major order in
-    # the crop is full-frame row-major order, so size ties break the same
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    labels, count = ndimage.label(fg[box], structure=_FOUR)
+    bg = np.asarray(background_color, dtype=np.int32)
+    fg = sq_distance(img.pixels[box], bg) > fg_tolerance * fg_tolerance
+    # label only that window; row-major order in it is full-frame row-major
+    # order, so size ties break the same
+    labels, count = ndimage.label(fg, structure=_FOUR)
+    if count == 0:
+        raise EmptyForeground("no pixel exceeds the foreground tolerance")
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     best_size = sizes.max()
     flat = labels.ravel()
     # first row-major pixel belonging to any largest component wins
     winner = flat[int(np.argmax(sizes[flat] == best_size))]
-    bits = np.zeros_like(fg)
-    bits[box] = labels == winner
-    return FishMask.from_bits(bits)
+    comp = labels == winner
+    ys, xs = np.flatnonzero(comp.any(axis=1)), np.flatnonzero(comp.any(axis=0))
+    bits = np.zeros(img.pixels.shape[:2], dtype=bool)
+    bits[box] = comp
+    bbox = (box[1].start + int(xs[0]), box[0].start + int(ys[0]),
+            int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1)
+    return FishMask(bits, int(best_size), bbox)
 
 
 def trace_contour(mask: FishMask) -> Contour:

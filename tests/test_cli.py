@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fishid
 from fishid import pipeline
 from fishid.cli import main
 from fishid.imageio import load_manifest
@@ -80,6 +83,30 @@ def test_classify_prints_label_and_scores(cli_model, cli_corpus, capsys):
     assert "poison:" in out
     assert "cluster:" in out
     assert "scores:" in out
+
+
+
+@pytest.mark.parametrize("command", ["evaluate", "classify"])
+def test_closed_stdout_is_a_quiet_exit(command, cli_model, cli_corpus):
+    """``fishid ... | head``: the reader closes the pipe, so the writes fail.
+    Closing the read end before the child writes anything makes every write
+    fail, with no race against the child's output buffering."""
+    entry = next(e for e in load_manifest(cli_corpus) if e.split == "test")
+    data = {"evaluate": ["--manifest", os.fspath(cli_corpus)],
+            "classify": ["--image", os.path.join(os.path.dirname(cli_corpus), entry.path)]}
+    path = [os.path.dirname(os.path.dirname(fishid.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fishid.cli", command, "--model", os.fspath(cli_model),
+         *data[command]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_config_file_supplies_flags(cli_workdir, capsys):

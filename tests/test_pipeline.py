@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fishid import dtree, mlp, pipeline
+from fishid import dtree, mlp, pipeline, synthgen
 from fishid.errors import (
     ClassMissing,
     CorruptModel,
@@ -14,9 +14,11 @@ from fishid.errors import (
     IoFailure,
     VersionMismatch,
 )
-from fishid.features import FEATURE_COUNT
+from fishid.features import FEATURE_COUNT, find_head_side
 from fishid.imageio import RgbImage, encode_ppm, load_manifest, write_manifest
 from fishid.mlp import TrainConfig
+from fishid.preprocess import median_filter, normalize_rotation, unify_background
+from fishid.segment import FishMask, extract_mask
 from fishid.pipeline import (
     evaluate,
     extract_manifest_features,
@@ -58,6 +60,24 @@ class TestRunPipeline:
         with pytest.raises(IoFailure):
             run_pipeline("/nonexistent/image.ppm", small_bundle)
 
+
+
+class TestAnalyzeImage:
+    @pytest.mark.parametrize("family", range(7))
+    def test_mirrored_mask_bookkeeping(self, family):
+        """A right-facing fish is mirrored; the mirrored mask's bbox and area
+        are derived from the unmirrored ones and must equal a rescan's."""
+        spec = synthgen.default_families()[family]
+        seed = next(s for s in range(50) if not synthgen.render_params(spec, s).head_left)
+        img = synthgen.render_fish(spec, seed, synthgen.SynthConfig())
+        config = pipeline.PipelineConfig()
+        mask = pipeline.analyze_image(img, config).mask
+        unified, bg = unify_background(median_filter(img, 1), config.preprocess)
+        unmirrored = extract_mask(normalize_rotation(unified, bg), bg, config.fg_tolerance)
+        assert find_head_side(unmirrored) == "right"
+        assert np.array_equal(mask.bits, unmirrored.bits[:, ::-1])
+        rescanned = FishMask.from_bits(mask.bits)
+        assert (mask.area, mask.bbox) == (rescanned.area, rescanned.bbox)
 
 class TestTrainBundle:
     def test_deterministic_model_bytes(self, small_corpus, tmp_path):

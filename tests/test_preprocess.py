@@ -29,6 +29,34 @@ def rotated_ellipse(angle_deg, a=70, b=30, size=(200, 260)):
     return RgbImage(px)
 
 
+
+def full_frame_rotation(img, background_color):
+    """Reference resampler: maps every pixel of the frame, where
+    ``normalize_rotation`` maps only the window the foreground can reach."""
+    bg = np.array(background_color, dtype=np.uint8)
+    ys, xs = np.nonzero(np.any(img.pixels != bg, axis=2))
+    if ys.size == 0:
+        raise EmptyForeground("image has no non-background pixels")
+    cx, cy, s20, s02, s11 = central_moments(ys, xs)
+    theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
+    if abs(theta) < math.radians(0.5):
+        return img
+    x0, y0 = int(xs.min()), int(ys.min())
+    h, w = img.height, img.width
+    gx = np.arange(w, dtype=np.float64) - x0
+    gy = np.arange(h, dtype=np.float64) - y0
+    u = gx[np.newaxis, :] - cx
+    v = gy[:, np.newaxis] - cy
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    src_x = np.rint(cos_t * u - sin_t * v + cx).astype(np.int64) + x0
+    src_y = np.rint(sin_t * u + cos_t * v + cy).astype(np.int64) + y0
+    valid = (src_x >= 0) & (src_x < w) & (src_y >= 0) & (src_y < h)
+    out = np.empty_like(img.pixels)
+    out[:] = bg
+    oy, ox = np.nonzero(valid)
+    out[oy, ox] = img.pixels[src_y[oy, ox], src_x[oy, ox]]
+    return RgbImage(out)
+
 class TestMedianFilter:
     def test_radius_zero_is_identity(self):
         rng = np.random.default_rng(1)
@@ -147,3 +175,49 @@ class TestNormalizeRotation:
         out = normalize_rotation(img, (255, 255, 255))
         after = int(np.any(out.pixels != (255, 255, 255), axis=2).sum())
         assert abs(after - before) <= 0.05 * before
+
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        st.integers(3, 48),
+        st.integers(3, 64),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.5, -0.5, 45.0, -45.0, 90.0, -90.0]),
+        st.floats(-1.0, 1.0),
+        st.sampled_from([None, "blob", "top", "bottom", "left", "right"]),
+    )
+    def test_window_matches_full_frame(self, h, w, seed, near, delta, extra):
+        """Ellipses drawn near the skip threshold and near +-45 and +-90
+        degrees, centered anywhere (so rotation can carry them partly off the
+        canvas), plus random blobs or a strip on one frame edge; every pixel
+        of the foreground has its own random color."""
+        rng = np.random.default_rng(seed)
+        background = tuple(int(v) for v in rng.integers(0, 256, 3))
+        px = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        yy, xx = np.mgrid[0:h, 0:w].astype(float)
+        t = math.radians(near + delta)
+        dx = xx - rng.uniform(-0.25, 1.25) * w
+        dy = yy - rng.uniform(-0.25, 1.25) * h
+        a = rng.uniform(1.0, max(w, h))
+        b = rng.uniform(0.5, a)
+        u = dx * math.cos(t) + dy * math.sin(t)
+        v = -dx * math.sin(t) + dy * math.cos(t)
+        keep = (u / a) ** 2 + (v / b) ** 2 <= 1
+        if extra == "blob":
+            keep |= rng.random((h, w)) < rng.uniform(0.02, 0.3)
+        px[~keep] = background
+        strip = {"top": (0, slice(None)), "bottom": (-1, slice(None)),
+                 "left": (slice(None), 0), "right": (slice(None), -1)}.get(extra)
+        if strip is not None:
+            px[strip] = [255 - c for c in background]
+        img = RgbImage(px)
+        if not np.any(px != background):
+            with pytest.raises(EmptyForeground):
+                normalize_rotation(img, background)
+            return
+        expected = full_frame_rotation(img, background)
+        out = normalize_rotation(img, background)
+        if expected is img:
+            assert out is img
+        else:
+            assert out.pixels.tobytes() == expected.pixels.tobytes()

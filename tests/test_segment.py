@@ -172,6 +172,8 @@ class TestExtractMask:
         assert np.array_equal(mask.bits, expected)
         assert mask.area == int(expected.sum())
         assert mask.bbox == FishMask.from_bits(expected).bbox
+        rescanned = FishMask.from_bits(mask.bits)  # the full-frame scan extract_mask skips
+        assert (mask.area, mask.bbox) == (rescanned.area, rescanned.bbox)
 
     @pytest.mark.parametrize("y, x", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
     def test_single_pixel_in_a_corner(self, y, x):
