@@ -9,6 +9,7 @@ at ``max_epochs``. Everything is deterministic given the config seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 import warnings
 
 import numpy as np
@@ -69,9 +70,13 @@ class TrainReport:
     trace: list[float] = field(default_factory=list)
 
 
-def _sigmoid(z):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function in place, ``z <- 1 / (1 + exp(-z))``; callers
+    ignore the overflow that saturates a very negative ``z`` to 0."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def init(layer_sizes, cfg: TrainConfig) -> MlpModel:
@@ -94,10 +99,13 @@ def init(layer_sizes, cfg: TrainConfig) -> MlpModel:
     return MlpModel(sizes, weights, momentum)
 
 
-def _forward_full(model: MlpModel, x: np.ndarray):
-    hidden = _sigmoid(model.weights[0] @ np.append(x, 1.0))
-    out = _sigmoid(model.weights[1] @ np.append(hidden, 1.0))
-    return hidden, out
+def _forward(model: MlpModel, xb: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """Output for the bias-augmented input ``xb``; leaves the hidden layer
+    in ``hb[:-1]`` (``hb[-1]`` is the hidden bias input, 1.0)."""
+    # ndarray.dot takes the same BLAS call as @ with less per-call overhead
+    model.weights[0].dot(xb, out=hb[:-1])
+    _sigmoid(hb[:-1])
+    return _sigmoid(model.weights[1].dot(hb))
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
@@ -106,7 +114,8 @@ def forward(model: MlpModel, x) -> np.ndarray:
         raise DimensionMismatch(
             f"input length {x.shape} does not match {model.layer_sizes[0]} inputs"
         )
-    return _forward_full(model, x)[1]
+    with np.errstate(over="ignore"):
+        return _forward(model, np.append(x, 1.0), np.ones(model.layer_sizes[1] + 1))
 
 
 def sample_error(target, output) -> float:
@@ -114,19 +123,49 @@ def sample_error(target, output) -> float:
     y = np.asarray(output, dtype=np.float64)
     if d.shape != y.shape:
         raise DimensionMismatch(f"target {d.shape} vs output {y.shape}")
+    return _error(d, y)
+
+
+def _error(d: np.ndarray, y: np.ndarray) -> float:
     r = d - y
-    return 0.5 * float(r @ r)
+    return 0.5 * float(r.dot(r))
 
 
-def _gradient(model: MlpModel, x: np.ndarray, d: np.ndarray):
-    """Output and per-layer gradient ``[g1, g2]`` of the error at (x, d)."""
-    hidden, out = _forward_full(model, x)
+class _Buffers:
+    """Storage each gradient evaluation overwrites: the bias-augmented
+    hidden layer and the gradient ``[g1, g2]``. ``back`` views the output
+    weights without their bias column, transposed; it stays current because
+    every update writes the weights in place."""
+
+    def __init__(self, model: MlpModel):
+        n_hidden = model.layer_sizes[1]
+        self.hidden = np.ones(n_hidden + 1)
+        self.grads = [np.empty_like(w) for w in model.weights]
+        self.back = model.weights[1][:, :n_hidden].T
+
+
+def _gradient(model: MlpModel, xb: np.ndarray, d: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """Output at the bias-augmented input ``xb``; fills ``buf.grads`` with
+    the gradient of the error against target ``d``."""
+    out = _forward(model, xb, buf.hidden)
+    hidden = buf.hidden[:-1]
     delta_out = (out - d) * out * (1.0 - out)
-    n_hidden = model.layer_sizes[1]
-    delta_hidden = (model.weights[1][:, :n_hidden].T @ delta_out) * hidden * (1.0 - hidden)
-    g2 = np.outer(delta_out, np.append(hidden, 1.0))
-    g1 = np.outer(delta_hidden, np.append(x, 1.0))
-    return out, [g1, g2]
+    delta_hidden = (buf.back @ delta_out) * hidden * (1.0 - hidden)
+    # np.outer's own broadcast product, written into the buffers
+    np.multiply(delta_out[:, np.newaxis], buf.hidden, out=buf.grads[1])
+    np.multiply(delta_hidden[:, np.newaxis], xb, out=buf.grads[0])
+    return out
+
+
+def _momentum_step(model: MlpModel, gradient, cfg: TrainConfig, steps) -> None:
+    """``m <- alpha * m + (-eta) * g`` and ``w <- w + m`` per layer, in place;
+    ``steps`` receives the ``(-eta) * g`` terms. Addition commutes, so ``m``
+    gets the bytes of ``-eta * g + alpha * m``."""
+    for w, m, g, step in zip(model.weights, model.momentum, gradient, steps):
+        np.multiply(g, -cfg.eta, out=step)
+        m *= cfg.alpha
+        m += step
+        w += m
 
 
 def backward(model: MlpModel, sample: TrainingSample):
@@ -137,11 +176,15 @@ def backward(model: MlpModel, sample: TrainingSample):
         raise DimensionMismatch("sample input does not match the input layer")
     if d.shape != (model.layer_sizes[2],):
         raise DimensionMismatch("sample target does not match the output layer")
-    return _gradient(model, x, d)[1]
+    buf = _Buffers(model)
+    with np.errstate(over="ignore"):
+        _gradient(model, np.append(x, 1.0), d, buf)
+    return buf.grads
 
 
 def update_weights(model: MlpModel, gradient, cfg: TrainConfig) -> None:
-    """Momentum step: delta = -eta * g + alpha * previous delta, in place."""
+    """Momentum step: delta = -eta * g + alpha * previous delta, in place;
+    ``model.momentum`` holds delta and ``gradient`` is left unchanged."""
     if len(gradient) != len(model.weights):
         raise DimensionMismatch("gradient layer count differs from the model")
     for layer, g in enumerate(gradient):
@@ -149,9 +192,7 @@ def update_weights(model: MlpModel, gradient, cfg: TrainConfig) -> None:
             raise DimensionMismatch(
                 f"gradient shape {g.shape} vs weights {model.weights[layer].shape}"
             )
-        delta = -cfg.eta * g + cfg.alpha * model.momentum[layer]
-        model.weights[layer] += delta
-        model.momentum[layer] = delta
+    _momentum_step(model, gradient, cfg, [np.empty_like(w) for w in model.weights])
 
 
 def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
@@ -168,19 +209,22 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
     for x, d in zip(xs, ds):
         if x.shape != (model.layer_sizes[0],) or d.shape != (model.layer_sizes[2],):
             raise DimensionMismatch("sample does not match the model architecture")
+    xbs = [np.append(x, 1.0) for x in xs]
+    buf = _Buffers(model)
+    steps = [np.empty_like(w) for w in model.weights]
     rng = np.random.default_rng(cfg.seed)
     trace: list[float] = []
-    for _ in range(cfg.max_epochs):
-        order = rng.permutation(len(samples))
-        total = 0.0
-        for i in order:
-            out, gradient = _gradient(model, xs[i], ds[i])
-            err = sample_error(ds[i], out)
-            if not np.isfinite(err):
-                raise NonFiniteError(f"sample error diverged to {err}")
-            total += err
-            update_weights(model, gradient, cfg)
-        trace.append(total / len(samples))
-        if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < cfg.epsilon:
-            break
+    with np.errstate(over="ignore"):
+        for _ in range(cfg.max_epochs):
+            order = rng.permutation(len(samples))
+            total = 0.0
+            for i in order:
+                err = _error(ds[i], _gradient(model, xbs[i], ds[i], buf))
+                if not math.isfinite(err):
+                    raise NonFiniteError(f"sample error diverged to {err}")
+                total += err
+                _momentum_step(model, buf.grads, cfg, steps)
+            trace.append(total / len(samples))
+            if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < cfg.epsilon:
+                break
     return TrainReport(len(trace), trace[-1], trace)

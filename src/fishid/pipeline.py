@@ -421,6 +421,7 @@ def load_bundle(path) -> TrainedBundle:
         raise CorruptModel("output layer size differs from the class count")
     if not nodes:
         raise CorruptModel("tree has no nodes")
+    parents = [0] * len(nodes)
     for i, node in enumerate(nodes):
         if node.is_leaf:
             if not 0 <= node.leaf < len(classes):
@@ -432,5 +433,11 @@ def load_bundle(path) -> TrainedBundle:
                 raise CorruptModel(f"node {i} child index out of order or range")
             if not 0 <= node.feature < n_out:
                 raise CorruptModel(f"node {i} feature index out of range")
+            parents[node.left] += 1
+            parents[node.right] += 1
+    # with the order rule, one parent each makes the nodes exactly one tree
+    for i, count in enumerate(parents[1:], start=1):
+        if count != 1:
+            raise CorruptModel(f"node {i} is the child of {count} nodes, not exactly one")
     model = MlpModel(layer_sizes, weights, [np.zeros_like(w) for w in weights])
     return TrainedBundle(model, tree, registry, config, feature_layout_version=layout)

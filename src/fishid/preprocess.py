@@ -77,8 +77,12 @@ def unify_background(img: RgbImage, cfg: PreprocessConfig):
     border = np.concatenate(
         [px[0, :], px[-1, :], px[1:-1, 0], px[1:-1, -1]], axis=0
     )
-    colors, counts = np.unique(border, axis=0, return_counts=True)
-    bg = colors[int(np.argmax(counts))]  # unique sorts lexicographically
+    # one uint32 key per color; ascending keys are lexicographic (r, g, b)
+    border = border.astype(np.uint32)
+    keys = (border[:, 0] << 16) | (border[:, 1] << 8) | border[:, 2]
+    colors, counts = np.unique(keys, return_counts=True)
+    key = int(colors[int(np.argmax(counts))])
+    bg = np.array([key >> 16, (key >> 8) & 255, key & 255], dtype=np.uint8)
     near = sq_distance(px, bg) <= cfg.background_tolerance**2
     out = px.copy()
     for c in range(3):

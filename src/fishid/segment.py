@@ -21,7 +21,29 @@ _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 # Moore neighborhood in clockwise order (x right, y down):
 # W, NW, N, NE, E, SE, S, SW
 _MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
-_MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
+
+
+def _moore_tables():
+    """The Moore step as table lookups. A pixel's code has bit i set when its
+    neighbor in direction i is foreground. Coming in with the backtrack
+    pixel in direction k, the trace probes directions k+1, k+2, ... (mod 8)
+    and steps in the first direction j that is foreground; ``step[k << 8 |
+    code]`` is that j, or 8 when no neighbor is foreground. The new backtrack
+    pixel is the one probed just before, at ``d[j-1] - d[j]`` from the new
+    pixel: ``back[j]`` is its direction."""
+    step = bytearray(8 * 256)
+    for k in range(8):
+        for code in range(256):
+            dirs = [(k + i) % 8 for i in range(1, 9) if code >> ((k + i) % 8) & 1]
+            step[k << 8 | code] = dirs[0] if dirs else 8
+    back = []
+    for j, (dx, dy) in enumerate(_MOORE):
+        px, py = _MOORE[j - 1]
+        back.append(_MOORE.index((px - dx, py - dy)))
+    return bytes(step), tuple(back)
+
+
+_STEP, _BACK = _moore_tables()
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,39 +119,39 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
 
 def trace_contour(mask: FishMask) -> Contour:
     """Clockwise Moore boundary trace from the smallest row-major pixel."""
-    bits = mask.bits
-    h, w = bits.shape
-    y0 = mask.bbox[1]
-    start = (int(np.argmax(bits[y0])), y0)
-
-    def fg(x, y):
-        return 0 <= x < w and 0 <= y < h and bits[y, x]
-
-    back0 = (start[0] - 1, start[1])  # virtual entry from the west
+    x0, y0, w, h = mask.bbox
+    crop = mask.crop(mask.bits)
+    # the bbox crop padded by one background pixel, so every neighbor exists
+    fg = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    fg[1:-1, 1:-1] = crop
+    code = np.zeros((h, w), dtype=np.uint8)
+    shifted = np.empty_like(code)
+    for i, (dx, dy) in enumerate(_MOORE):
+        code |= np.left_shift(fg[1 + dy : h + 1 + dy, 1 + dx : w + 1 + dx], i, out=shifted)
+    codes = code.tobytes()
+    # flat bbox indices; a step only reaches a foreground pixel, never a
+    # neighbor outside the bbox, so an offset never wraps around a row
+    offsets = [dy * w + dx for dx, dy in _MOORE]
+    start = int(np.argmax(crop[0]))
+    # a state is (pixel, backtrack direction); entry is from the west
+    cur, k = start, 0
+    seen = {start << 3}
     points = [start]
-    state0 = (start, back0)
-    seen = {state0}
-    cur, back = start, back0
     while True:
-        cx, cy = cur
-        k = _MOORE_INDEX[(back[0] - cx, back[1] - cy)]
-        step = None
-        for i in range(1, 9):
-            dx, dy = _MOORE[(k + i) % 8]
-            if fg(cx + dx, cy + dy):
-                pdx, pdy = _MOORE[(k + i - 1) % 8]
-                step = ((cx + dx, cy + dy), (cx + pdx, cy + pdy))
-                break
-        if step is None:
+        j = _STEP[k << 8 | codes[cur]]
+        if j == 8:
             break  # isolated pixel
-        if step == state0 or step in seen:
+        cur += offsets[j]
+        k = _BACK[j]
+        state = cur << 3 | k
+        if state in seen:
             break
-        seen.add(step)
-        points.append(step[0])
-        cur, back = step
+        seen.add(state)
+        points.append(cur)
     if len(points) >= 2 and points[-1] == points[0]:
         points.pop()
-    pts = np.array(points, dtype=np.int64)
+    flat = np.array(points, dtype=np.int64)
+    pts = np.stack((flat % w + x0, flat // w + y0), axis=1)
     if len(pts) < 2:
         return Contour(pts, 0.0)
     diffs = pts - np.roll(pts, 1, axis=0)  # includes the closing step

@@ -199,6 +199,34 @@ class TestTrain:
         for a, b in zip(trained.weights + trained.momentum, stepped.weights + stepped.momentum):
             assert a.tobytes() == b.tobytes()
 
+    def test_matches_hand_written_loop(self):
+        # several samples over several epochs, so a buffer that carried
+        # state from one sample-step into the next would change the bytes
+        cfg = TrainConfig(seed=4, max_epochs=4, epsilon=1e-12)
+        rng = np.random.default_rng(12)
+        samples = [
+            TrainingSample(rng.uniform(-1, 1, 5), np.eye(3)[k % 3]) for k in range(7)
+        ]
+        trained = mlp.init((5, 4, 3), cfg)
+        report = mlp.train(trained, samples, cfg)
+        looped = mlp.init((5, 4, 3), cfg)
+        order_rng = np.random.default_rng(cfg.seed)
+        trace = []
+        for _ in range(cfg.max_epochs):
+            total = 0.0
+            for i in order_rng.permutation(len(samples)):
+                s = samples[i]
+                total += mlp.sample_error(s.target, mlp.forward(looped, s.x))
+                gradient = mlp.backward(looped, s)
+                before = [g.copy() for g in gradient]
+                mlp.update_weights(looped, gradient, cfg)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(before, gradient))
+            trace.append(total / len(samples))
+        assert report.epochs == cfg.max_epochs
+        assert np.array(report.trace).tobytes() == np.array(trace).tobytes()
+        for a, b in zip(trained.weights + trained.momentum, looped.weights + looped.momentum):
+            assert a.tobytes() == b.tobytes()
+
     def test_empty_training_set(self):
         m = mlp.init((2, 2, 1), TrainConfig(seed=0))
         with pytest.raises(EmptyTrainingSet):

@@ -220,6 +220,20 @@ class TestPersistence:
         with pytest.raises(CorruptModel):
             load_bundle(_edited_model(small_bundle, tmp_path, edit))
 
+    def test_orphan_node_rejected(self, small_bundle, tmp_path):
+        def edit(doc):
+            doc["tree"]["nodes"].append({"leaf": 0})
+        with pytest.raises(CorruptModel, match="child of 0 nodes"):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    def test_shared_child_rejected(self, small_bundle, tmp_path):
+        def edit(doc):
+            root = doc["tree"]["nodes"][0]
+            assert "leaf" not in root
+            root["r"] = root["l"]
+        with pytest.raises(CorruptModel, match="child of 2 nodes"):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
     def test_input_width_must_be_the_descriptor(self, small_bundle, tmp_path):
         def edit(doc):  # 3 inputs, with the weights cut to match
             doc["mlp"]["layer_sizes"][0] = 3

@@ -136,6 +136,16 @@ class TestUnifyBackground:
         _, bg = unify_background(RgbImage(px), PreprocessConfig(background_tolerance=0))
         assert bg == (0, 10, 0)
 
+    def test_border_tie_orders_red_then_green_then_blue(self):
+        # four border pixels of each color; (0, 0, 200) is lexicographically
+        # smallest although its blue value is the largest channel value here
+        px = np.zeros((4, 4, 3), dtype=np.uint8)
+        px[0, :] = (1, 0, 0)
+        px[-1, :] = (0, 1, 0)
+        px[1:-1, 0] = px[1:-1, -1] = (0, 0, 200)
+        _, bg = unify_background(RgbImage(px), PreprocessConfig(background_tolerance=0))
+        assert bg == (0, 0, 200)
+
     def test_too_small(self):
         with pytest.raises(ImageTooSmall):
             unify_background(RgbImage(np.zeros((2, 5, 3), dtype=np.uint8)), PreprocessConfig())

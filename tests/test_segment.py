@@ -9,6 +9,7 @@ from fishid import synthgen
 from fishid.errors import EmptyForeground
 from fishid.imageio import RgbImage, sq_distance
 from fishid.segment import (
+    Contour,
     FishMask,
     divide_segments,
     extract_mask,
@@ -74,6 +75,87 @@ def color_flood_fill(bits, px, eps):
                             stack.append((ny, nx))
                 groups.append(group)
     return groups
+
+
+# Moore neighborhood in clockwise order (x right, y down): W, NW, N, NE, E, SE, S, SW
+MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
+MOORE_INDEX = {d: i for i, d in enumerate(MOORE)}
+
+
+def reference_trace(mask):
+    """The per-step Moore trace: probe the neighbors one by one, clockwise
+    from the backtrack pixel, and stop when a (pixel, backtrack) state
+    repeats."""
+    bits = mask.bits
+    h, w = bits.shape
+    y0 = mask.bbox[1]
+    start = (int(np.argmax(bits[y0])), y0)
+
+    def fg(x, y):
+        return 0 <= x < w and 0 <= y < h and bits[y, x]
+
+    back0 = (start[0] - 1, start[1])  # virtual entry from the west
+    points = [start]
+    state0 = (start, back0)
+    seen = {state0}
+    cur, back = start, back0
+    while True:
+        cx, cy = cur
+        k = MOORE_INDEX[(back[0] - cx, back[1] - cy)]
+        step = None
+        for i in range(1, 9):
+            dx, dy = MOORE[(k + i) % 8]
+            if fg(cx + dx, cy + dy):
+                pdx, pdy = MOORE[(k + i - 1) % 8]
+                step = ((cx + dx, cy + dy), (cx + pdx, cy + pdy))
+                break
+        if step is None:
+            break  # isolated pixel
+        if step == state0 or step in seen:
+            break
+        seen.add(step)
+        points.append(step[0])
+        cur, back = step
+    if len(points) >= 2 and points[-1] == points[0]:
+        points.pop()
+    pts = np.array(points, dtype=np.int64)
+    if len(pts) < 2:
+        return Contour(pts, 0.0)
+    diffs = pts - np.roll(pts, 1, axis=0)  # includes the closing step
+    perim = float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
+    return Contour(pts, perim)
+
+
+def contour_test_mask(kind, h, w, seed, pads):
+    """An (h, w) foreground of the given kind, framed by ``pads`` (top,
+    bottom, left, right) rows and columns of background; a pad of 0 puts
+    the bbox on that frame edge."""
+    rng = np.random.default_rng(seed)
+    core = np.zeros((h, w), dtype=bool)
+    if kind == "blob":
+        core = rng.random((h, w)) < rng.uniform(0.2, 0.9)
+    elif kind == "pixel":
+        core[rng.integers(h), rng.integers(w)] = True
+    elif kind == "line":
+        if rng.random() < 0.5:
+            core[rng.integers(h), :] = True
+        else:
+            core[:, rng.integers(w)] = True
+    elif kind == "diagonal":  # one pixel per row, each row one column off the last
+        x = int(rng.integers(w))
+        for y in range(h if w > 1 else 1):
+            core[y, x] = True
+            step = 1 if rng.random() < 0.5 else -1
+            x += step if 0 <= x + step < w else -step
+    elif kind == "holes":
+        core[:] = True
+        core[1:-1, 1:-1] = rng.random((max(h - 2, 0), max(w - 2, 0))) >= 0.3
+    if not core.any():
+        core[rng.integers(h), rng.integers(w)] = True
+    top, bottom, left, right = pads
+    bits = np.zeros((h + top + bottom, w + left + right), dtype=bool)
+    bits[top : top + h, left : left + w] = core
+    return FishMask.from_bits(bits)
 
 
 def disk_mask(r=50, pad=10):
@@ -245,6 +327,22 @@ class TestTraceContour:
         x, y = c.points[:, 0], c.points[:, 1]
         shoelace = abs(float(x @ np.roll(y, -1) - np.roll(x, -1) @ y)) / 2.0
         assert shoelace <= mask.area <= shoelace + c.perimeter
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        st.sampled_from(["blob", "pixel", "line", "diagonal", "holes"]),
+        st.integers(1, 14),
+        st.integers(1, 14),
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 2)] * 4),
+    )
+    def test_matches_reference_trace(self, kind, h, w, seed, pads):
+        mask = contour_test_mask(kind, h, w, seed, pads)
+        got, want = trace_contour(mask), reference_trace(mask)
+        assert got.points.dtype == want.points.dtype
+        assert got.points.shape == want.points.shape
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.perimeter == want.perimeter
 
 
 class TestDivideSegments:
