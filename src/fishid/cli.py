@@ -32,7 +32,7 @@ def _parse_counts(pairs):
     counts = {}
     for pair in pairs or []:
         name, _, value = pair.rpartition("=")
-        if not name or not value.isdigit():
+        if not name or not value.isdecimal():
             raise ToolkitError(f"expected FAMILY=N, got {pair!r}")
         counts[name] = int(value)
     return counts

@@ -97,7 +97,10 @@ def _decode_ppm(data: bytes) -> RgbImage:
             raise UnsupportedFormat("PPM header ended early")
         if not tok.isdigit():
             raise UnsupportedFormat(f"bad PPM header token {bytes(tok)!r}")
-        fields.append(int(tok))
+        try:
+            fields.append(int(tok))
+        except ValueError:  # more digits than Python parses
+            raise UnsupportedFormat(f"PPM header number of {len(tok)} digits") from None
     width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise UnsupportedFormat("zero or negative PPM dimension")

@@ -89,7 +89,6 @@ class TrainedBundle:
     tree: DecisionTree
     registry: LabelRegistry
     config: PipelineConfig
-    feature_layout_version: int = FEATURE_LAYOUT_VERSION
 
 
 @dataclass
@@ -308,7 +307,7 @@ def _bundle_to_doc(bundle: TrainedBundle) -> dict:
             )
     return {
         "version": MODEL_VERSION,
-        "feature_layout_version": bundle.feature_layout_version,
+        "feature_layout_version": FEATURE_LAYOUT_VERSION,
         "classes": list(bundle.registry.classes),
         "hierarchy": hierarchy,
         "mlp": {
@@ -361,15 +360,15 @@ def load_bundle(path) -> TrainedBundle:
     try:
         classes = tuple(str(c) for c in doc["classes"])
         hierarchy = doc["hierarchy"]
-        entries = tuple(
-            (
-                str(hierarchy[c]["cluster"]),
-                bool(hierarchy[c]["poison"]),
-                str(hierarchy[c]["family"]),
-            )
-            for c in classes
-        )
-        registry = LabelRegistry(classes, entries)
+        entries = []
+        for c in classes:
+            entry = (hierarchy[c]["cluster"], hierarchy[c]["poison"], hierarchy[c]["family"])
+            if [type(v) for v in entry] != [str, bool, str]:
+                raise CorruptModel(
+                    f"class {c!r}: cluster and family must be strings, poison a boolean"
+                )
+            entries.append(entry)
+        registry = LabelRegistry(classes, tuple(entries))
         layer_sizes = tuple(int(s) for s in doc["mlp"]["layer_sizes"])
         weights = [np.array(w, dtype=np.float64) for w in doc["mlp"]["weights"]]
         activation = doc["mlp"]["activation"]
@@ -440,4 +439,4 @@ def load_bundle(path) -> TrainedBundle:
         if count != 1:
             raise CorruptModel(f"node {i} is the child of {count} nodes, not exactly one")
     model = MlpModel(layer_sizes, weights, [np.zeros_like(w) for w in weights])
-    return TrainedBundle(model, tree, registry, config, feature_layout_version=layout)
+    return TrainedBundle(model, tree, registry, config)

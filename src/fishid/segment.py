@@ -13,7 +13,7 @@ import numpy as np
 from scipy import ndimage, sparse
 from scipy.sparse import csgraph
 
-from .errors import EmptyForeground
+from .errors import EmptyForeground, InvalidConfig
 from .imageio import RgbImage, differs_window, sq_distance
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -90,8 +90,8 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
     """Keep the largest 4-connected component farther than ``fg_tolerance``
     from the background color (ties: the component containing the smallest
     row-major pixel index)."""
-    if fg_tolerance <= 0:
-        raise ValueError("fg_tolerance must be > 0")
+    if not fg_tolerance > 0:
+        raise InvalidConfig("fg_tolerance must be > 0")
     box = differs_window(img.pixels, background_color)
     if box is None:  # a pixel equal to the background is at distance 0
         raise EmptyForeground("no pixel exceeds the foreground tolerance")
@@ -188,8 +188,8 @@ def divide_segments(mask: FishMask, img: RgbImage, k: int):
 def group_by_color(mask: FishMask, img: RgbImage, eps: float) -> ColorGroups:
     """Group 4-adjacent foreground pixels whose colors differ by at most
     ``eps`` (Euclidean RGB); groups are maximal under that relation."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not eps >= 0:
+        raise InvalidConfig("eps must be >= 0")
     bits = mask.crop(mask.bits)
     px = mask.crop(img.pixels)
     h, w = bits.shape

@@ -23,29 +23,10 @@ from .imageio import ManifestEntry, RgbImage, encode_ppm, write_manifest
 
 _MARGIN = 8.0  # minimum distance from the fish to every canvas border
 
-DEFAULT_TRAIN_COUNTS = {
-    "Istiophoridae": 15,
-    "leiognathidae": 10,
-    "Acropomaatidae": 15,
-    "Scombridae": 10,
-    "Stromateidae": 15,
-    "Triacanthidae": 10,
-    "Poison fish": 25,
-}
-DEFAULT_TEST_COUNTS = {
-    "Istiophoridae": 10,
-    "leiognathidae": 10,
-    "Acropomaatidae": 10,
-    "Scombridae": 10,
-    "Stromateidae": 10,
-    "Triacanthidae": 10,
-    "Poison fish": 25,
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parameter ranges for one terminal class; colors are (low, high) RGB."""
+    """Parameter ranges for one terminal class (colors are (low, high) RGB)
+    and its default image counts; poison classes are drawn with spots."""
 
     name: str
     cluster: str
@@ -55,7 +36,7 @@ class FamilySpec:
     ventral_color: tuple[tuple[int, int, int], tuple[int, int, int]]
     tail_fraction: tuple[float, float]  # tail length / body length
     fin_fraction: tuple[float, float]  # dorsal fin height / body height
-    spot_pattern: bool = False
+    counts: tuple[int, int]  # default (train, test) images
 
 
 @dataclass(frozen=True)
@@ -64,7 +45,7 @@ class SynthConfig:
     height: int = 240
     background: tuple[int, int, int] = (210, 232, 248)
     seed: int = 0
-    # per-family overrides of DEFAULT_TRAIN_COUNTS / DEFAULT_TEST_COUNTS
+    # per-family overrides of FamilySpec.counts
     train_counts: dict = field(default_factory=dict)
     test_counts: dict = field(default_factory=dict)
 
@@ -91,6 +72,7 @@ def default_families() -> list[FamilySpec]:
             ventral_color=((140, 150, 172), (158, 168, 190)),
             tail_fraction=(0.30, 0.36),
             fin_fraction=(0.30, 0.36),
+            counts=(15, 10),
         ),
         FamilySpec(
             "leiognathidae", "deep-bodied", False,
@@ -99,6 +81,7 @@ def default_families() -> list[FamilySpec]:
             ventral_color=((178, 184, 156), (194, 200, 172)),
             tail_fraction=(0.16, 0.20),
             fin_fraction=(0.44, 0.50),
+            counts=(10, 10),
         ),
         FamilySpec(
             "Acropomaatidae", "compact", False,
@@ -107,6 +90,7 @@ def default_families() -> list[FamilySpec]:
             ventral_color=((188, 148, 138), (204, 164, 154)),
             tail_fraction=(0.22, 0.26),
             fin_fraction=(0.22, 0.26),
+            counts=(15, 10),
         ),
         FamilySpec(
             "Scombridae", "elongate", False,
@@ -115,6 +99,7 @@ def default_families() -> list[FamilySpec]:
             ventral_color=((158, 178, 178), (174, 194, 194)),
             tail_fraction=(0.26, 0.30),
             fin_fraction=(0.16, 0.20),
+            counts=(10, 10),
         ),
         FamilySpec(
             "Stromateidae", "deep-bodied", False,
@@ -123,6 +108,7 @@ def default_families() -> list[FamilySpec]:
             ventral_color=((168, 168, 190), (184, 184, 202)),
             tail_fraction=(0.20, 0.24),
             fin_fraction=(0.32, 0.38),
+            counts=(15, 10),
         ),
         FamilySpec(
             "Triacanthidae", "compact", False,
@@ -131,6 +117,7 @@ def default_families() -> list[FamilySpec]:
             ventral_color=((198, 184, 142), (210, 196, 158)),
             tail_fraction=(0.18, 0.22),
             fin_fraction=(0.54, 0.60),
+            counts=(10, 10),
         ),
         FamilySpec(
             "Poison fish", "poison", True,
@@ -139,7 +126,7 @@ def default_families() -> list[FamilySpec]:
             ventral_color=((162, 132, 162), (178, 148, 178)),
             tail_fraction=(0.24, 0.28),
             fin_fraction=(0.38, 0.44),
-            spot_pattern=True,
+            counts=(25, 25),
         ),
     ]
 
@@ -166,62 +153,46 @@ class RenderParams:
     tail_frac: float
     fin_frac: float
     jitter: tuple[float, float]
-    spots: tuple  # (ux, uy, ur) triples, empty unless the spec is spotted
+    spots: tuple  # (ux, uy, ur) triples, empty unless the class is poison
 
     @property
     def head_side(self) -> str:
         return "left" if self.head_left else "right"
 
 
+def _color(rng, bounds) -> tuple[int, int, int]:
+    low, high = bounds
+    return tuple(int(v) for v in rng.integers(np.array(low), np.array(high) + 1))
+
+
 def render_params(spec: FamilySpec, seed: int) -> RenderParams:
-    """Sample the drawing parameters; the draw order is part of the
-    determinism contract."""
+    """Sample the drawing parameters; the draw order (the argument order
+    below) is part of the determinism contract."""
     rng = np.random.default_rng(seed)
-    body_frac = float(rng.uniform(0.36, 0.42))
-    aspect = float(rng.uniform(*spec.aspect))
-    head_left = bool(rng.integers(0, 2) == 0)
-    dorsum = tuple(
-        int(v)
-        for v in rng.integers(
-            np.array(spec.dorsum_color[0]), np.array(spec.dorsum_color[1]) + 1
-        )
-    )
-    ventral = tuple(
-        int(v)
-        for v in rng.integers(
-            np.array(spec.ventral_color[0]), np.array(spec.ventral_color[1]) + 1
-        )
-    )
-    tail_frac = float(rng.uniform(*spec.tail_fraction))
-    fin_frac = float(rng.uniform(*spec.fin_fraction))
-    jx = float(rng.uniform())
-    jy = float(rng.uniform())
-    spots = ()
-    if spec.spot_pattern:
-        n_spots = int(rng.integers(5, 9))
-        spots = tuple(map(tuple, rng.uniform(size=(n_spots, 3))))
     return RenderParams(
-        body_frac, aspect, head_left, dorsum, ventral, tail_frac, fin_frac,
-        (jx, jy), spots,
+        body_frac=float(rng.uniform(0.36, 0.42)),
+        aspect=float(rng.uniform(*spec.aspect)),
+        head_left=bool(rng.integers(0, 2) == 0),
+        dorsum=_color(rng, spec.dorsum_color),
+        ventral=_color(rng, spec.ventral_color),
+        tail_frac=float(rng.uniform(*spec.tail_fraction)),
+        fin_frac=float(rng.uniform(*spec.fin_fraction)),
+        jitter=(float(rng.uniform()), float(rng.uniform())),
+        spots=(
+            tuple(map(tuple, rng.uniform(size=(int(rng.integers(5, 9)), 3))))
+            if spec.poison else ()
+        ),
     )
 
 
 def render_fish(spec: FamilySpec, seed: int, cfg: SynthConfig, scale: float = 1.0) -> RgbImage:
     """Draw one fish; bit-identical for identical (spec, seed, cfg, scale)."""
     p = render_params(spec, seed)
-    body_frac = p.body_frac
-    aspect = p.aspect
-    head_left = p.head_left
-    dorsum = np.array(p.dorsum, dtype=np.int64)
-    ventral = np.array(p.ventral, dtype=np.int64)
-    tail_frac = p.tail_frac
-    fin_frac = p.fin_frac
     jx, jy = p.jitter
-    spot_u = p.spots
 
-    unit_len = body_frac * cfg.width  # geometry in scale-1 pixel units
+    unit_len = p.body_frac * cfg.width  # geometry in scale-1 pixel units
     a_u = unit_len / 2.0  # semi-major
-    b_u = aspect * unit_len / 2.0  # semi-minor
+    b_u = p.aspect * unit_len / 2.0  # semi-minor
 
     def _even(v):
         # extreme-point offsets snap to even unit values so that halving or
@@ -229,9 +200,9 @@ def render_fish(spec: FamilySpec, seed: int, cfg: SynthConfig, scale: float = 1.
         return 2.0 * round(v / 2.0)
 
     snout_off = _even(a_u + 0.10 * unit_len) * scale
-    tail_off = _even(a_u + tail_frac * unit_len) * scale
-    up_h = _even(b_u + fin_frac * 2.0 * b_u) * scale
-    dn_h = _even(b_u + 0.45 * fin_frac * 2.0 * b_u) * scale
+    tail_off = _even(a_u + p.tail_frac * unit_len) * scale
+    up_h = _even(b_u + p.fin_frac * 2.0 * b_u) * scale
+    dn_h = _even(b_u + 0.45 * p.fin_frac * 2.0 * b_u) * scale
     apex_dx = _even(0.05 * a_u) * scale
     a = a_u * scale
     b = b_u * scale
@@ -246,12 +217,12 @@ def render_fish(spec: FamilySpec, seed: int, cfg: SynthConfig, scale: float = 1.
             f"fish {total_w:.0f}x{total_h:.0f} exceeds canvas "
             f"{cfg.width}x{cfg.height} with margin {_MARGIN:.0f}"
         )
-    hdir = -1.0 if head_left else 1.0  # head direction along x
+    hdir = -1.0 if p.head_left else 1.0  # head direction along x
     left_edge = _MARGIN + jx * free_x
     # body center sits on a pixel center; combined with the even-unit offsets
     # above, the silhouette's four extreme points land exactly on pixel
     # centers and digitize deterministically
-    cx = float(round(left_edge + (snout_off if head_left else tail_off)))
+    cx = float(round(left_edge + (snout_off if p.head_left else tail_off)))
     cy = float(round(_MARGIN + jy * free_y + up_h))
 
     # rasterize only a window around the fish; coordinates stay absolute so
@@ -291,16 +262,15 @@ def render_fish(spec: FamilySpec, seed: int, cfg: SynthConfig, scale: float = 1.
     px = np.empty((cfg.height, cfg.width, 3), dtype=np.uint8)
     px[:] = np.array(cfg.background, dtype=np.uint8)
     window = px[y_lo:y_hi, x_lo:x_hi]
-    window[fish & (yg < cy)] = dorsum.astype(np.uint8)
-    window[fish & (yg >= cy)] = ventral.astype(np.uint8)
+    window[fish & (yg < cy)] = p.dorsum
+    window[fish & (yg >= cy)] = p.ventral
 
-    if spec.spot_pattern:
-        for ux, uy, ur in spot_u:
-            sx = cx + (2.0 * ux - 1.0) * 0.65 * a
-            sy = cy + (2.0 * uy - 1.0) * 0.45 * b
-            sr = (1.6 + 1.4 * ur) * scale
-            spot = (xg - sx) ** 2 + (yg - sy) ** 2 <= sr * sr
-            window[spot & fish] = (70, 52, 40)
+    for ux, uy, ur in p.spots:
+        sx = cx + (2.0 * ux - 1.0) * 0.65 * a
+        sy = cy + (2.0 * uy - 1.0) * 0.45 * b
+        sr = (1.6 + 1.4 * ur) * scale
+        spot = (xg - sx) ** 2 + (yg - sy) ** 2 <= sr * sr
+        window[spot & fish] = (70, 52, 40)
 
     ex = cx + hdir * 0.62 * a
     ey = cy - 0.30 * b
@@ -329,9 +299,8 @@ def generate_corpus(out_dir, cfg: SynthConfig):
         paths = []
         for fi, spec in enumerate(default_families()):
             for split_code, split in ((0, "train"), (1, "test")):
-                defaults = DEFAULT_TRAIN_COUNTS if split == "train" else DEFAULT_TEST_COUNTS
                 overrides = cfg.train_counts if split == "train" else cfg.test_counts
-                count = overrides.get(spec.name, defaults[spec.name])
+                count = overrides.get(spec.name, spec.counts[split_code])
                 for k in range(count):
                     img = render_fish(spec, _image_seed(cfg.seed, fi, split_code, k), cfg)
                     fname = f"{spec.name}_{split}_{k}.ppm"

@@ -10,8 +10,9 @@ from fishid.mlp import TrainConfig
 def small_corpus(tmp_path_factory):
     """A reduced corpus (3 train / 2 test per family) for fast pipeline tests."""
     out = tmp_path_factory.mktemp("small_corpus")
-    counts_train = {name: 3 for name in synthgen.DEFAULT_TRAIN_COUNTS}
-    counts_test = {name: 2 for name in synthgen.DEFAULT_TEST_COUNTS}
+    names = [spec.name for spec in synthgen.default_families()]
+    counts_train = {name: 3 for name in names}
+    counts_test = {name: 2 for name in names}
     cfg = synthgen.SynthConfig(seed=11, train_counts=counts_train, test_counts=counts_test)
     manifest, paths = synthgen.generate_corpus(os.fspath(out), cfg)
     return manifest, paths

@@ -232,6 +232,20 @@ def test_invalid_settings_are_error_lines(cli_workdir, capsys, argv, named):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_ascii_digit_count_is_an_error_line(cli_workdir, capsys, source):
+    out = cli_workdir / "never-written-corpus"
+    argv = ["gen-synth", "--out", os.fspath(out)]
+    if source == "flag":
+        argv += ["--test-count", "Scombridae=\u00b2"]
+    else:
+        cfg = cli_workdir / "superscript.cfg"
+        cfg.write_text("test-count=Scombridae=\u00b2\n", encoding="utf-8")
+        argv += ["--config", os.fspath(cfg)]
+    assert "FAMILY=N" in one_error_line(capsys, main(argv))
+    assert not out.exists()
+
+
 def _model_with_tree_feature(cli_model, dest, literal):
     doc = json.loads(cli_model.read_text())
     node = next(n for n in doc["tree"]["nodes"] if "f" in n)

@@ -49,6 +49,10 @@ class TestDecode:
         with pytest.raises(UnsupportedFormat):
             decode_image(b"P6 0 0 255 ")
 
+    def test_header_number_past_int_digit_limit(self):
+        with pytest.raises(UnsupportedFormat):
+            decode_image(b"P6 " + b"9" * 5000 + b" 2 255\n" + bytes(12))
+
     def test_unknown_magic(self):
         with pytest.raises(UnsupportedFormat):
             decode_image(b"GIF89a....")

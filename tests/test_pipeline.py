@@ -14,7 +14,7 @@ from fishid.errors import (
     IoFailure,
     VersionMismatch,
 )
-from fishid.features import FEATURE_COUNT, find_head_side
+from fishid.features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, find_head_side
 from fishid.imageio import RgbImage, encode_ppm, load_manifest, write_manifest
 from fishid.mlp import TrainConfig
 from fishid.preprocess import median_filter, normalize_rotation, unify_background
@@ -169,7 +169,7 @@ class TestPersistence:
         loaded = load_bundle(p)
         assert loaded.config == small_bundle.config
         assert loaded.registry == small_bundle.registry
-        assert loaded.feature_layout_version == small_bundle.feature_layout_version
+        assert json.loads(p.read_text())["feature_layout_version"] == FEATURE_LAYOUT_VERSION
 
     def test_version_mismatch(self, small_bundle, tmp_path):
         p = tmp_path / "model.json"
@@ -245,6 +245,15 @@ class TestPersistence:
         def edit(doc):
             doc["preprocess"]["background_tolerance"] = float("nan")
         with pytest.raises(CorruptModel):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    @pytest.mark.parametrize("key, value", [
+        ("poison", "no"), ("poison", 0), ("cluster", 3), ("family", None),
+    ])
+    def test_hierarchy_types(self, small_bundle, tmp_path, key, value):
+        def edit(doc):
+            doc["hierarchy"][doc["classes"][0]][key] = value
+        with pytest.raises(CorruptModel, match="poison a boolean"):
             load_bundle(_edited_model(small_bundle, tmp_path, edit))
 
     def test_feature_layout_mismatch(self, small_bundle, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from fishid import synthgen
-from fishid.errors import EmptyForeground
+from fishid.errors import EmptyForeground, InvalidConfig
 from fishid.imageio import RgbImage, sq_distance
 from fishid.segment import (
     Contour,
@@ -225,6 +225,13 @@ class TestExtractMask:
         with pytest.raises(EmptyForeground):
             extract_mask(RgbImage(canvas(10, 10)), (0, 0, 255), 50.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_bad_tolerance(self, tol):
+        px = canvas(40, 30)
+        px[5:15, 8:18] = (255, 0, 0)
+        with pytest.raises(InvalidConfig):
+            extract_mask(RgbImage(px), (0, 0, 255), tol)
+
     @settings(deadline=None, max_examples=200)
     @given(
         st.integers(1, 12),
@@ -400,6 +407,15 @@ class TestGroupByColor:
         img = RgbImage(px)
         mask = extract_mask(img, (0, 0, 255), 50.0)
         assert group_by_color(mask, img, 10.0).group_count == 2
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan")])
+    def test_bad_tolerance(self, eps):
+        px = canvas(30, 20)
+        px[5:15, 5:25] = (200, 10, 10)
+        img = RgbImage(px)
+        mask = extract_mask(img, (0, 0, 255), 50.0)
+        with pytest.raises(InvalidConfig):
+            group_by_color(mask, img, eps)
 
     def test_max_tolerance_saturates_to_one_group(self):
         rng = np.random.default_rng(5)

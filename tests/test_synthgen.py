@@ -9,8 +9,6 @@ from fishid.features import find_head_side
 from fishid.imageio import load_manifest
 from fishid.segment import extract_mask
 from fishid.synthgen import (
-    DEFAULT_TEST_COUNTS,
-    DEFAULT_TRAIN_COUNTS,
     SynthConfig,
     default_families,
     generate_corpus,
@@ -30,24 +28,28 @@ class TestDefaultFamilies:
         assert len(specs) == 7
         assert {s.name for s in specs} == TABLE_NAMES
 
-    def test_only_poison_is_spotted(self):
-        for spec in default_families():
-            assert spec.spot_pattern == spec.poison
+    def test_spot_color_marks_only_poison(self):
         assert sum(s.poison for s in default_families()) == 1
+        cfg = SynthConfig()
+        for spec in default_families():
+            for seed in range(10):
+                px = render_fish(spec, seed, cfg).pixels
+                spotted = bool(np.all(px == (70, 52, 40), axis=2).any())
+                assert spotted == spec.poison, (spec.name, seed)
 
     def test_specs_differ_in_at_least_two_parameters(self):
         specs = default_families()
-        params = [f.name for f in fields(specs[0]) if f.name not in ("name", "cluster")]
+        params = [f.name for f in fields(specs[0]) if f.name not in ("name", "cluster", "counts")]
         for i, a in enumerate(specs):
             for b in specs[i + 1 :]:
                 differing = sum(getattr(a, p) != getattr(b, p) for p in params)
                 assert differing >= 2, (a.name, b.name)
 
     def test_default_split_counts(self):
-        assert sum(DEFAULT_TRAIN_COUNTS.values()) == 100
-        assert sum(DEFAULT_TEST_COUNTS.values()) == 85
-        assert DEFAULT_TRAIN_COUNTS["Poison fish"] == 25
-        assert DEFAULT_TEST_COUNTS["Poison fish"] == 25
+        specs = default_families()
+        assert sum(s.counts[0] for s in specs) == 100
+        assert sum(s.counts[1] for s in specs) == 85
+        assert next(s.counts for s in specs if s.poison) == (25, 25)
 
 
 class TestRenderFish:
@@ -105,8 +107,8 @@ class TestGenerateCorpus:
     def test_regeneration_is_byte_identical(self, tmp_path):
         cfg = SynthConfig(
             seed=5,
-            train_counts={n: 1 for n in DEFAULT_TRAIN_COUNTS},
-            test_counts={n: 1 for n in DEFAULT_TEST_COUNTS},
+            train_counts={n: 1 for n in TABLE_NAMES},
+            test_counts={n: 1 for n in TABLE_NAMES},
         )
         m1, p1 = generate_corpus(tmp_path / "a", cfg)
         m2, p2 = generate_corpus(tmp_path / "b", cfg)
@@ -117,8 +119,8 @@ class TestGenerateCorpus:
     def test_zero_counts_gives_header_only_manifest(self, tmp_path):
         cfg = SynthConfig(
             seed=1,
-            train_counts={n: 0 for n in DEFAULT_TRAIN_COUNTS},
-            test_counts={n: 0 for n in DEFAULT_TEST_COUNTS},
+            train_counts={n: 0 for n in TABLE_NAMES},
+            test_counts={n: 0 for n in TABLE_NAMES},
         )
         manifest, paths = generate_corpus(tmp_path / "c", cfg)
         assert paths == []
@@ -137,8 +139,8 @@ class TestGenerateCorpus:
     def test_hierarchy_is_consistent(self, tmp_path):
         cfg = SynthConfig(
             seed=3,
-            train_counts={n: 1 for n in DEFAULT_TRAIN_COUNTS},
-            test_counts={n: 1 for n in DEFAULT_TEST_COUNTS},
+            train_counts={n: 1 for n in TABLE_NAMES},
+            test_counts={n: 1 for n in TABLE_NAMES},
         )
         manifest, _ = generate_corpus(tmp_path / "c", cfg)
         entries = load_manifest(manifest)  # raises if inconsistent
