@@ -34,7 +34,10 @@ def _parse_counts(pairs):
         name, _, value = pair.rpartition("=")
         if not name or not value.isdecimal():
             raise ToolkitError(f"expected FAMILY=N, got {pair!r}")
-        counts[name] = int(value)
+        try:
+            counts[name] = int(value)
+        except ValueError:  # more digits than Python parses
+            raise ToolkitError(f"count for {name!r} has {len(value)} digits") from None
     return counts
 
 

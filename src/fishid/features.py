@@ -117,8 +117,9 @@ def extract_features(
     contour: Contour,
     groups: ColorGroups,
 ) -> np.ndarray:
-    """Compute the 47-value descriptor of a left-facing fish; ``idx`` is
-    ``to_indexed(img)``. See the module docstring for layout."""
+    """Compute the 47-value descriptor of a left-facing fish; ``idx`` is a
+    full-frame array that holds ``to_indexed(img)`` inside ``mask.bbox`` (it
+    is read nowhere else). See the module docstring for layout."""
     if not img.pixels.shape[:2] == idx.shape == mask.bits.shape:
         raise InconsistentInputs("image, index and mask dimensions differ")
     if groups.pixel_count != mask.area:
@@ -179,7 +180,7 @@ def extract_features(
     f[18] = _boundary_count(bits) / A
 
     # per-quadrant intensity spread
-    iv = mask.crop(idx)[ly, lx].astype(np.float64)
+    iv = mask.crop(idx)[bits].astype(np.float64)  # row-major, like ly, lx
     top = ly < h / 2.0
     left_half = lx < w / 2.0
     for qi, sel in enumerate(
@@ -189,7 +190,7 @@ def extract_features(
             f[19 + qi] = min(1.0, float(iv[sel].std()) / 128.0)
 
     # color signature
-    rgb = mask.crop(img.pixels)[ly, lx].astype(np.float64)
+    rgb = mask.crop(img.pixels)[bits].astype(np.float64)
     dorsum = ly < cyl
     dmean = rgb[dorsum].mean(axis=0) / 255.0 if dorsum.any() else np.zeros(3)
     vmean = rgb[~dorsum].mean(axis=0) / 255.0 if (~dorsum).any() else np.zeros(3)

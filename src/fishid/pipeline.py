@@ -64,7 +64,9 @@ class PipelineConfig:
 
 @dataclass
 class ImageAnalysis:
-    """Intermediates produced while turning an image into features."""
+    """Intermediates produced while turning an image into features. For a
+    mirrored (right-facing) fish, ``image.pixels`` and ``mask.bits`` are
+    reversed views of the unmirrored frames, not copies."""
 
     image: RgbImage  # after filtering, background unification, rotation
     background: tuple[int, int, int]
@@ -128,13 +130,14 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     rotated = _staged("rotation", normalize_rotation, unified, background)
     mask = _staged("mask", extract_mask, rotated, background, config.fg_tolerance)
     if find_head_side(mask) == "right":
-        rotated = RgbImage(rotated.pixels[:, ::-1].copy())
+        rotated = RgbImage(rotated.pixels[:, ::-1])
         x0, y0, w, h = mask.bbox
         mirrored = (rotated.width - x0 - w, y0, w, h)
-        mask = FishMask(mask.bits[:, ::-1].copy(), mask.area, mirrored)
+        mask = FishMask(mask.bits[:, ::-1], mask.area, mirrored)
     contour = _staged("contour", trace_contour, mask)
     groups = _staged("color-groups", group_by_color, mask, rotated, config.group_tolerance)
-    idx = to_indexed(rotated)
+    idx = np.zeros(mask.bits.shape, dtype=np.uint8)
+    mask.crop(idx)[:] = to_indexed(RgbImage(mask.crop(rotated.pixels)))
     feats = _staged("features", extract_features, rotated, idx, mask, contour, groups)
     return ImageAnalysis(rotated, background, mask, contour, groups, feats)
 

@@ -148,11 +148,17 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     gy = np.arange(wy0, wy1, dtype=np.float64) - y0
     u = gx[np.newaxis, :] - cx
     v = gy[:, np.newaxis] - cy
-    src_x = np.rint(cos_t * u - sin_t * v + cx).astype(np.int64)
-    src_y = np.rint(sin_t * u + cos_t * v + cy).astype(np.int64)
-    valid = (src_x >= 0) & (src_x < bw) & (src_y >= 0) & (src_y < bh)
+    # the fish bbox inside a one-pixel background border: a source clipped to
+    # [-1, bw] x [-1, bh] lands on the border when it is outside the bbox
+    fish = np.empty((bh + 2, bw + 2, 3), dtype=np.uint8)
+    fish[:] = background_color
+    fish[1:-1, 1:-1] = img.pixels[y0 : y0 + bh, x0 : x0 + bw]
+    src_x = cos_t * u - sin_t * v + cx
+    src_y = sin_t * u + cos_t * v + cy
+    np.clip(np.rint(src_x, out=src_x), -1, bw, out=src_x)
+    np.clip(np.rint(src_y, out=src_y), -1, bh, out=src_y)
+    flat = ((src_y + 1) * (bw + 2) + (src_x + 1)).astype(np.intp)  # exact in float64
     out = np.empty_like(img.pixels)
     out[:] = background_color
-    fish = img.pixels[y0 : y0 + bh, x0 : x0 + bw]
-    out[wy0:wy1, wx0:wx1][valid] = fish[src_y[valid], src_x[valid]]
+    out[wy0:wy1, wx0:wx1] = np.take(fish.reshape(-1, 3), flat, axis=0)
     return RgbImage(out)

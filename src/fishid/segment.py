@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
-from scipy.sparse import csgraph
+from scipy import ndimage
 
 from .errors import EmptyForeground, InvalidConfig
 from .imageio import RgbImage, differs_window, sq_distance
@@ -193,14 +192,14 @@ def group_by_color(mask: FishMask, img: RgbImage, eps: float) -> ColorGroups:
     bits = mask.crop(mask.bits)
     px = mask.crop(img.pixels)
     h, w = bits.shape
-    ids = np.arange(h * w).reshape(h, w)
-    right = sq_distance(px[:, 1:], px[:, :-1]) <= eps * eps
-    right &= bits[:, 1:] & bits[:, :-1]
-    down = sq_distance(px[1:], px[:-1]) <= eps * eps
-    down &= bits[1:] & bits[:-1]
-    a = np.concatenate((ids[:, :-1][right], ids[:-1][down]))
-    b = np.concatenate((ids[:, 1:][right], ids[1:][down]))
-    graph = sparse.coo_matrix((np.ones(a.size), (a, b)), shape=(h * w, h * w))
-    count, _ = csgraph.connected_components(graph, directed=False)
-    # bbox pixels outside the mask have no edges: one component each
-    return ColorGroups(int(count) - (h * w - mask.area), mask.area)
+    # pixel (i, j) sits at lattice cell (2i, 2j); the cell between two
+    # 4-neighbors is set when their colors are within eps. Odd-odd cells stay
+    # unset, so an edge cell touches only its two pixels, and the lattice's
+    # 4-connected components are the groups, one per label
+    lat = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    lat[::2, ::2] = bits
+    tol = eps * eps
+    lat[::2, 1::2] = (sq_distance(px[:, 1:], px[:, :-1]) <= tol) & bits[:, 1:] & bits[:, :-1]
+    lat[1::2, ::2] = (sq_distance(px[1:], px[:-1]) <= tol) & bits[1:] & bits[:-1]
+    _, count = ndimage.label(lat, structure=_FOUR)
+    return ColorGroups(int(count), mask.area)

@@ -246,6 +246,22 @@ def test_non_ascii_digit_count_is_an_error_line(cli_workdir, capsys, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_count_past_int_digit_limit_is_an_error_line(cli_workdir, capsys, source):
+    # Python parses at most 4300 digits into an int
+    out = cli_workdir / "never-written-corpus"
+    pair = "Scombridae=" + "9" * 5000
+    argv = ["gen-synth", "--out", os.fspath(out)]
+    if source == "flag":
+        argv += ["--train-count", pair]
+    else:
+        cfg = cli_workdir / "huge-count.cfg"
+        cfg.write_text(f"train-count={pair}\n", encoding="utf-8")
+        argv += ["--config", os.fspath(cfg)]
+    assert "5000 digits" in one_error_line(capsys, main(argv))
+    assert not out.exists()
+
+
 def _model_with_tree_feature(cli_model, dest, literal):
     doc = json.loads(cli_model.read_text())
     node = next(n for n in doc["tree"]["nodes"] if "f" in n)

@@ -122,6 +122,30 @@ class TestIndexed:
         assert idx.shape == (img.height, img.width)
         assert idx.dtype == np.uint8
 
+    def test_crops_and_mirrored_views_index_like_the_full_frame(self):
+        # the colors with 299r + 587g + 114b on a rounding tie are the only
+        # ones whose index depends on how the weighted sum is computed: an
+        # elementwise float formula changes 2529 of them
+        r, g = np.divmod(np.arange(256 * 256), 256)
+        b_of = np.full(1000, -1)
+        b_of[114 * np.arange(256) % 1000] = np.arange(256)  # 256 distinct residues
+        b = b_of[(500 - 299 * r - 587 * g) % 1000]
+        colors = np.stack((r, g, b), axis=1)[b >= 0].astype(np.uint8)
+        assert len(colors) == 16782
+        rng = np.random.default_rng(0)
+        inner = rng.integers(0, 256, (127 * 133, 3), dtype=np.uint8)
+        inner[: len(colors)] = colors
+        frame = rng.integers(0, 256, (131, 140, 3), dtype=np.uint8)
+        frame[2:129, 3:136] = inner.reshape(127, 133, 3)
+        full = to_indexed(RgbImage(frame))
+        mirrored = frame[:, ::-1]
+        for view, want in (
+            (frame[2:129, 3:136], full[2:129, 3:136]),
+            (mirrored, full[:, ::-1]),
+            (mirrored[2:129, 4:137], full[:, ::-1][2:129, 4:137]),
+        ):
+            assert to_indexed(RgbImage(view)).tobytes() == want.tobytes()
+
 
 class TestManifest:
     def test_single_row(self, tmp_path):

@@ -17,7 +17,12 @@ from fishid.errors import (
 from fishid.features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, find_head_side
 from fishid.imageio import RgbImage, encode_ppm, load_manifest, write_manifest
 from fishid.mlp import TrainConfig
-from fishid.preprocess import median_filter, normalize_rotation, unify_background
+from fishid.preprocess import (
+    PreprocessConfig,
+    median_filter,
+    normalize_rotation,
+    unify_background,
+)
 from fishid.segment import FishMask, extract_mask
 from fishid.pipeline import (
     evaluate,
@@ -78,6 +83,23 @@ class TestAnalyzeImage:
         assert np.array_equal(mask.bits, unmirrored.bits[:, ::-1])
         rescanned = FishMask.from_bits(mask.bits)
         assert (mask.area, mask.bbox) == (rescanned.area, rescanned.bbox)
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_mirrored_image_leaves_the_input_alone(self, radius):
+        """A right-facing fish's image is a reversed view of a frame the
+        pipeline made (with radius 0 the median filter returns its input)."""
+        spec = synthgen.default_families()[0]
+        seed = next(s for s in range(50) if not synthgen.render_params(spec, s).head_left)
+        img = synthgen.render_fish(spec, seed, synthgen.SynthConfig())
+        before = img.pixels.copy()
+        config = pipeline.PipelineConfig(preprocess=PreprocessConfig(median_radius=radius))
+        analysis = pipeline.analyze_image(img, config)
+        unified, bg = unify_background(median_filter(img, radius), config.preprocess)
+        rotated = normalize_rotation(unified, bg)
+        assert find_head_side(extract_mask(rotated, bg, config.fg_tolerance)) == "right"
+        assert np.array_equal(img.pixels, before)
+        assert not np.shares_memory(img.pixels, analysis.image.pixels)
+        assert np.array_equal(analysis.image.pixels, rotated.pixels[:, ::-1].copy())
 
 class TestTrainBundle:
     def test_deterministic_model_bytes(self, small_corpus, tmp_path):
