@@ -190,10 +190,7 @@ def extract_features(
             f[19 + qi] = min(1.0, float(iv[sel].std()) / 128.0)
 
     # color signature
-    rgb = mask.crop(img.pixels)[bits].astype(np.float64)
-    dorsum = ly < cyl
-    dmean = rgb[dorsum].mean(axis=0) / 255.0 if dorsum.any() else np.zeros(3)
-    vmean = rgb[~dorsum].mean(axis=0) / 255.0 if (~dorsum).any() else np.zeros(3)
+    dmean, vmean = _dorsum_ventral_means(mask.crop(img.pixels), bits, cyl)
     f[24:27] = dmean
     f[27:30] = vmean
     f[30:33] = (dmean - vmean + 1.0) / 2.0
@@ -252,6 +249,20 @@ def extreme_triangles(cpts: np.ndarray) -> TrianglePair:
         triangle_area(p_xmin, p_xmax, p_ymin),
         triangle_area(p_xmin, p_xmax, p_ymax),
     )
+
+
+def _dorsum_ventral_means(px: np.ndarray, bits: np.ndarray, cy: float):
+    """Per-channel means / 255 of the masked pixels in the rows above ``cy``
+    and in the rest (zeros for an empty part). Row y is above ``cy`` exactly
+    when y < ceil(cy). The int64 sums are below 2^53, so each quotient is
+    the correctly rounded mean, as a float64 gather-and-mean gives."""
+    k = math.ceil(cy)
+    means = []
+    for p, b in ((px[:k], bits[:k]), (px[k:], bits[k:])):
+        n = np.count_nonzero(b)
+        sums = [np.add.reduce(p[..., c], None, np.int64, where=b, initial=0) for c in range(3)]
+        means.append(np.array(sums) / n / 255.0 if n else np.zeros(3))
+    return means
 
 
 def _boundary_count(bits: np.ndarray) -> int:

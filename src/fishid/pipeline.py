@@ -29,7 +29,7 @@ from .errors import (
 from .features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, extract_features, find_head_side
 from .imageio import RgbImage, decode_image, load_manifest, to_indexed
 from .mlp import MlpModel, TrainConfig
-from .preprocess import PreprocessConfig, median_filter, normalize_rotation, unify_background
+from .preprocess import PreprocessConfig, filter_and_unify, normalize_rotation
 from .segment import FishMask, extract_mask, group_by_color, trace_contour
 
 MODEL_VERSION = 1
@@ -121,11 +121,9 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     an irrelevant transformation for recognition and canonicalizing it keeps
     the descriptors unimodal per class. The flip is an exact index reversal.
     """
-    filtered = _staged(
-        "median-filter", median_filter, img, config.preprocess.median_radius
-    )
+    pre = config.preprocess
     unified, background = _staged(
-        "background", unify_background, filtered, config.preprocess
+        "background", filter_and_unify, img, pre.median_radius, pre.background_tolerance
     )
     rotated = _staged("rotation", normalize_rotation, unified, background)
     mask = _staged("mask", extract_mask, rotated, background, config.fg_tolerance)
@@ -343,6 +341,13 @@ def save_bundle(bundle: TrainedBundle, path) -> None:
         raise IoFailure(f"writing model to {path}: {exc}") from exc
 
 
+def _json_int(value) -> int:
+    """A model-file field that must be a JSON integer; ``1.9`` and ``true`` are not."""
+    if type(value) is not int:
+        raise CorruptModel(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def load_bundle(path) -> TrainedBundle:
     """Read and validate a model file written by :func:`save_bundle`."""
     try:
@@ -372,33 +377,33 @@ def load_bundle(path) -> TrainedBundle:
                 )
             entries.append(entry)
         registry = LabelRegistry(classes, tuple(entries))
-        layer_sizes = tuple(int(s) for s in doc["mlp"]["layer_sizes"])
+        layer_sizes = tuple(_json_int(s) for s in doc["mlp"]["layer_sizes"])
         weights = [np.array(w, dtype=np.float64) for w in doc["mlp"]["weights"]]
         activation = doc["mlp"]["activation"]
         raw_nodes = doc["tree"]["nodes"]
         nodes = []
         for item in raw_nodes:
             if "leaf" in item:
-                nodes.append(TreeNode(leaf=int(item["leaf"])))
+                nodes.append(TreeNode(leaf=_json_int(item["leaf"])))
             else:
                 nodes.append(
                     TreeNode(
-                        feature=int(item["f"]),
+                        feature=_json_int(item["f"]),
                         threshold=float(item["t"]),
-                        left=int(item["l"]),
-                        right=int(item["r"]),
+                        left=_json_int(item["l"]),
+                        right=_json_int(item["r"]),
                     )
                 )
         tree = DecisionTree(tuple(nodes))
         pre = PreprocessConfig(
             background_tolerance=float(doc["preprocess"]["background_tolerance"]),
-            median_radius=int(doc["preprocess"]["median_radius"]),
+            median_radius=_json_int(doc["preprocess"]["median_radius"]),
         )
         config = PipelineConfig(
             preprocess=pre,
             fg_tolerance=float(doc["segment"]["fg_tolerance"]),
             group_tolerance=float(doc["segment"]["group_tolerance"]),
-            bands=int(doc["segment"]["bands"]),
+            bands=_json_int(doc["segment"]["bands"]),
         )
         layout = int(doc["feature_layout_version"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -435,6 +440,8 @@ def load_bundle(path) -> TrainedBundle:
                 raise CorruptModel(f"node {i} child index out of order or range")
             if not 0 <= node.feature < n_out:
                 raise CorruptModel(f"node {i} feature index out of range")
+            if not np.isfinite(node.threshold):
+                raise CorruptModel(f"node {i} threshold is not finite")
             parents[node.left] += 1
             parents[node.right] += 1
     # with the order rule, one parent each makes the nodes exactly one tree

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import EmptyForeground, ImageTooSmall, InvalidConfig
-from .imageio import RgbImage, differs_window, sq_distance
+from .imageio import RgbImage, differs_window, filled, sq_distance
 
 # skip resampling when the measured orientation is below half a degree
 _ROTATION_SKIP_RAD = math.radians(0.5)
@@ -62,32 +62,49 @@ def median_filter(img: RgbImage, radius: int) -> RgbImage:
     return RgbImage(mn(mx(p6, mn(p4, p2)), mx(p4, p2)))
 
 
-def unify_background(img: RgbImage, cfg: PreprocessConfig):
-    """Detect the background color and flatten everything near it.
+def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
+    """Median-filter, then detect the background color and flatten
+    everything near it: the bytes of ``median_filter`` followed by
+    ``unify_background``, with the median taken only where the raw frame
+    differs from the background.
 
-    The background is the most frequent color on the 1-pixel border (ties
-    broken by the lexicographically smallest (r, g, b)). Every pixel within
-    ``cfg.background_tolerance`` of it is replaced by it exactly.
+    The background is the most frequent color on the filtered 1-pixel border
+    (ties broken by the lexicographically smallest (r, g, b)). Every filtered
+    pixel within ``tolerance`` of it is replaced by it exactly.
 
-    Returns ``(image, background_color)``.
+    Returns ``(image, background_color)``; the image is a new array.
     """
     if img.width < 3 or img.height < 3:
         raise ImageTooSmall("background unification needs at least 3x3 pixels")
-    px = img.pixels
-    border = np.concatenate(
-        [px[0, :], px[-1, :], px[1:-1, 0], px[1:-1, -1]], axis=0
-    )
+    px, r = img.pixels, radius
+    # a clamped window on an edge reads only the r + 1 rows (columns) nearest it
+    rows = [median_filter(RgbImage(p), r).pixels for p in (px[: r + 1], px[-r - 1 :])]
+    cols = [median_filter(RgbImage(p), r).pixels for p in (px[:, : r + 1], px[:, -r - 1 :])]
+    border = np.concatenate([rows[0][0], rows[1][-1], cols[0][1:-1, 0], cols[1][1:-1, -1]])
     # one uint32 key per color; ascending keys are lexicographic (r, g, b)
     border = border.astype(np.uint32)
     keys = (border[:, 0] << 16) | (border[:, 1] << 8) | border[:, 2]
     colors, counts = np.unique(keys, return_counts=True)
     key = int(colors[int(np.argmax(counts))])
-    bg = np.array([key >> 16, (key >> 8) & 255, key & 255], dtype=np.uint8)
-    near = sq_distance(px, bg) <= cfg.background_tolerance**2
-    out = px.copy()
-    for c in range(3):
-        out[..., c][near] = bg[c]
-    return RgbImage(out), (int(bg[0]), int(bg[1]), int(bg[2]))
+    color = (key >> 16, (key >> 8) & 255, key & 255)
+    out = filled(img.height, img.width, color)
+    box = differs_window(px, color)
+    if box is not None:
+        # outside the differing box grown by r, every clamped window holds
+        # only the background, so the output there is the background. Each
+        # edge of the grown box is the frame's edge or a background line, so
+        # clamping at the box reads the colors that clamping at the frame reads.
+        grown = tuple(slice(max(s.start - r, 0), s.stop + r) for s in box)
+        win = out[grown]
+        win[:] = median_filter(RgbImage(px[grown]), r).pixels
+        win[sq_distance(win, np.array(color, dtype=np.uint8)) <= tolerance**2] = color
+    return RgbImage(out), color
+
+
+def unify_background(img: RgbImage, cfg: PreprocessConfig):
+    """Detect the background color and flatten everything near it:
+    :func:`filter_and_unify` with radius 0. Returns ``(image, background_color)``."""
+    return filter_and_unify(img, 0, cfg.background_tolerance)
 
 
 def _foreground_coords(img: RgbImage, background_color):
@@ -150,15 +167,13 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     v = gy[:, np.newaxis] - cy
     # the fish bbox inside a one-pixel background border: a source clipped to
     # [-1, bw] x [-1, bh] lands on the border when it is outside the bbox
-    fish = np.empty((bh + 2, bw + 2, 3), dtype=np.uint8)
-    fish[:] = background_color
+    fish = filled(bh + 2, bw + 2, background_color)
     fish[1:-1, 1:-1] = img.pixels[y0 : y0 + bh, x0 : x0 + bw]
     src_x = cos_t * u - sin_t * v + cx
     src_y = sin_t * u + cos_t * v + cy
     np.clip(np.rint(src_x, out=src_x), -1, bw, out=src_x)
     np.clip(np.rint(src_y, out=src_y), -1, bh, out=src_y)
     flat = ((src_y + 1) * (bw + 2) + (src_x + 1)).astype(np.intp)  # exact in float64
-    out = np.empty_like(img.pixels)
-    out[:] = background_color
+    out = filled(h, w, background_color)
     out[wy0:wy1, wx0:wx1] = np.take(fish.reshape(-1, 3), flat, axis=0)
     return RgbImage(out)

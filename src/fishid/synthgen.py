@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from .errors import CanvasTooSmall, InvalidConfig, IoFailure
-from .imageio import ManifestEntry, RgbImage, encode_ppm, write_manifest
+from .imageio import ManifestEntry, RgbImage, encode_ppm, filled, write_manifest
 
 _MARGIN = 8.0  # minimum distance from the fish to every canvas border
 
@@ -259,8 +259,7 @@ def render_fish(spec: FamilySpec, seed: int, cfg: SynthConfig, scale: float = 1.
     )
     fish = body | snout | tail | dfin | vfin
 
-    px = np.empty((cfg.height, cfg.width, 3), dtype=np.uint8)
-    px[:] = np.array(cfg.background, dtype=np.uint8)
+    px = filled(cfg.height, cfg.width, cfg.background)
     window = px[y_lo:y_hi, x_lo:x_hi]
     window[fish & (yg < cy)] = p.dorsum
     window[fish & (yg >= cy)] = p.ventral

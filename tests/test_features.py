@@ -2,11 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fishid import synthgen
 from fishid.errors import InconsistentInputs
 from fishid.features import (
+    _dorsum_ventral_means,
     _hull_area,
     COLOR_SLICE,
     FEATURE_COUNT,
@@ -145,6 +146,29 @@ class TestHullArea:
     def test_matches_monotone_chain(self, points):
         pts = np.array(points, dtype=np.int64)
         assert _hull_area(pts) == monotone_chain_area(points)
+
+
+class TestDorsumVentralMeans:
+    @settings(deadline=None, max_examples=300)
+    @example(h=1, w=7, seed=3, integer_cy=False)  # one row: the dorsum is empty
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_float_gather(self, h, w, seed, integer_cy):
+        """Oracle: the float64 gather of the masked pixels, split at
+        ``ly < cy``; ``cy`` is the mask's centroid row or a whole row number."""
+        rng = np.random.default_rng(seed)
+        px = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        bits = rng.random((h, w)) < rng.uniform(0.05, 1.0)
+        bits[rng.integers(h), rng.integers(w)] = True
+        ly, _ = np.nonzero(bits)
+        cy = float(rng.integers(h)) if integer_cy else ly.sum() / ly.size
+        rgb = px[bits].astype(np.float64)
+        dorsum = ly < cy
+        expected = [
+            rgb[sel].mean(axis=0) / 255.0 if sel.any() else np.zeros(3)
+            for sel in (dorsum, ~dorsum)
+        ]
+        got = _dorsum_ventral_means(px, bits, cy)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
 
 
 class TestHeadSide:

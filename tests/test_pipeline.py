@@ -294,6 +294,33 @@ class TestPersistence:
         with pytest.raises(CorruptModel):
             load_bundle(_edited_model(small_bundle, tmp_path, edit))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, small_bundle, tmp_path, value):
+        def edit(doc):  # json writes NaN and Infinity, and reads them back
+            doc["tree"]["nodes"][0]["t"] = value
+        with pytest.raises(CorruptModel, match="threshold"):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    @pytest.mark.parametrize("field, value", [
+        ("layer_sizes", 24.0), ("f", 0.5), ("f", True), ("l", 1.0), ("r", False),
+        ("leaf", True), ("median_radius", 1.9), ("median_radius", True), ("bands", 4.5),
+    ])
+    def test_integer_fields_must_be_json_integers(self, small_bundle, tmp_path, field, value):
+        def edit(doc):
+            nodes = doc["tree"]["nodes"]
+            if field == "layer_sizes":
+                doc["mlp"]["layer_sizes"][1] = value
+            elif field == "leaf":
+                next(n for n in nodes if "leaf" in n)["leaf"] = value
+            elif field == "median_radius":
+                doc["preprocess"][field] = value
+            elif field == "bands":
+                doc["segment"][field] = value
+            else:
+                nodes[0][field] = value
+        with pytest.raises(CorruptModel, match="JSON integer"):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
 
 def _edited_model(bundle, tmp_path, edit):
     """Save ``bundle``, apply ``edit`` to the JSON document, return the path."""

@@ -10,6 +10,7 @@ from fishid.imageio import RgbImage
 from fishid.preprocess import (
     PreprocessConfig,
     central_moments,
+    filter_and_unify,
     median_filter,
     normalize_rotation,
     unify_background,
@@ -158,6 +159,73 @@ class TestUnifyBackground:
         d = np.sqrt(np.sum((px.astype(float) - bg) ** 2, axis=2))
         far = d > cfg.background_tolerance
         assert np.array_equal(out.pixels[far], px[far])
+
+
+def full_frame_filter_and_unify(px, radius, tolerance):
+    """Reference for ``filter_and_unify``: filter the whole frame, take the
+    filtered border's most frequent color (ties: the smallest (r, g, b) row),
+    then set every pixel within ``tolerance`` of it to it."""
+    f = median_filter(RgbImage(px), radius).pixels
+    border = np.concatenate([f[0], f[-1], f[1:-1, 0], f[1:-1, -1]])
+    colors, counts = np.unique(border, axis=0, return_counts=True)
+    bg = colors[np.argmax(counts)]
+    out = f.copy()
+    out[((f.astype(np.int64) - bg) ** 2).sum(axis=2) <= tolerance**2] = bg
+    return out, tuple(int(v) for v in bg)
+
+
+class TestFilterAndUnify:
+    @settings(deadline=None, max_examples=400)
+    @given(
+        st.integers(3, 10),
+        st.integers(3, 10),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0, 1, 2]),
+        st.sampled_from([0.0, 10.0, 25.0, 120.0, 441.0, 1000.0]),
+        st.sampled_from(["empty", "blob", "top", "bottom", "left", "right", "noise", "tie"]),
+    )
+    def test_matches_full_frame_path(self, h, w, seed, radius, tolerance, scene):
+        """Pixels from a four-color palette (the background, a color at
+        exactly the tolerance where the deltas allow, and two random ones): a
+        random blob, a box touching one frame edge, noise over the whole
+        frame, two halves that tie the border vote when h is even, or nothing
+        but background."""
+        rng = np.random.default_rng(seed)
+        bg = rng.integers(0, 256, 3)
+        delta = {10.0: (6, 8, 0), 25.0: (12, 9, 20), 120.0: (0, 72, 96)}.get(tolerance, (3, 0, 4))
+        near = np.where(bg < 128, bg + delta, bg - delta)
+        palette = np.array([bg, near, rng.integers(0, 256, 3), rng.integers(0, 256, 3)], np.uint8)
+        px = np.empty((h, w, 3), dtype=np.uint8)
+        px[:] = palette[0]
+        sel = np.zeros((h, w), dtype=bool)
+        y0, x0 = rng.integers(0, h), rng.integers(0, w)
+        y1, x1 = rng.integers(y0, h) + 1, rng.integers(x0, w) + 1
+        edge = {"top": (slice(0, y1), slice(x0, x1)), "bottom": (slice(y0, h), slice(x0, x1)),
+                "left": (slice(y0, y1), slice(0, x1)), "right": (slice(y0, y1), slice(x0, w))}
+        if scene in edge:
+            sel[edge[scene]] = True
+        elif scene == "blob":
+            sel[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < 0.6
+        elif scene == "noise":
+            sel[:] = True
+        elif scene == "tie":
+            px[h // 2 :] = palette[2]
+            sel[1:-1, 1:-1] = rng.random((h - 2, w - 2)) < 0.2
+        px[sel] = palette[rng.integers(0, 4, int(sel.sum()))]
+        before = px.copy()
+        expected, expected_bg = full_frame_filter_and_unify(px, radius, tolerance)
+        out, out_bg = filter_and_unify(RgbImage(px), radius, tolerance)
+        assert out_bg == expected_bg
+        assert out.pixels.tobytes() == expected.tobytes()
+        assert np.array_equal(px, before)
+        assert not np.shares_memory(out.pixels, px)
+
+    def test_synthetic_fish_matches_full_frame_path(self):
+        img = synthgen.render_fish(synthgen.default_families()[2], 3, synthgen.SynthConfig())
+        expected, expected_bg = full_frame_filter_and_unify(img.pixels, 1, 25.0)
+        out, bg = filter_and_unify(img, 1, 25.0)
+        assert bg == expected_bg
+        assert out.pixels.tobytes() == expected.tobytes()
 
 
 class TestNormalizeRotation:
