@@ -19,6 +19,8 @@ from .errors import (
     DimensionMismatch,
     EmptySet,
     EmptyTrainingSet,
+    InconsistentHierarchy,
+    InvalidConfig,
     RaggedRows,
     UnknownClass,
 )
@@ -67,7 +69,7 @@ class LabelRegistry:
             if prev is None:
                 seen[family] = entry
             elif prev != entry:
-                raise ValueError(f"conflicting hierarchy for class {family!r}")
+                raise InconsistentHierarchy(f"conflicting hierarchy for class {family!r}")
         names = tuple(sorted(seen))
         return cls(names, tuple(seen[n] for n in names))
 
@@ -102,16 +104,16 @@ def fit(rows, max_depth: int = 8, min_leaf: int = 1) -> DecisionTree:
     if not rows:
         raise EmptyTrainingSet("no rows to fit")
     if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+        raise InvalidConfig("max_depth must be >= 1")
     if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
+        raise InvalidConfig("min_leaf must be >= 1")
     dim = len(rows[0][0])
     if any(len(v) != dim for v, _ in rows):
         raise RaggedRows("rows have differing vector lengths")
     X = np.array([v for v, _ in rows], dtype=np.float64)
     y = np.array([c for _, c in rows], dtype=np.int64)
     if (y < 0).any():
-        raise ValueError("class indices must be non-negative")
+        raise InvalidConfig("class indices must be non-negative")
     n_classes = int(y.max()) + 1
     nodes: list[TreeNode] = []
 

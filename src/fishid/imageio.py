@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     EmptyManifest,
     InconsistentHierarchy,
+    InvalidConfig,
     IoFailure,
     MalformedRow,
     TruncatedData,
@@ -47,9 +48,9 @@ class RgbImage:
     def __post_init__(self):
         px = self.pixels
         if px.ndim != 3 or px.shape[2] != 3 or px.dtype != np.uint8:
-            raise ValueError("pixels must be a (h, w, 3) uint8 array")
+            raise InvalidConfig("pixels must be a (h, w, 3) uint8 array")
         if px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError("image dimensions must be positive")
+            raise InvalidConfig("image dimensions must be positive")
 
     @property
     def width(self) -> int:

@@ -341,15 +341,15 @@ def save_bundle(bundle: TrainedBundle, path) -> None:
         raise IoFailure(f"writing model to {path}: {exc}") from exc
 
 
-def _json_int(value) -> int:
-    """A model-file field that must be a JSON integer; ``1.9`` and ``true`` are not."""
-    if type(value) is not int:
-        raise CorruptModel(f"expected a JSON integer, got {value!r}")
-    return value
-
-
 def load_bundle(path) -> TrainedBundle:
-    """Read and validate a model file written by :func:`save_bundle`."""
+    """Read and validate a model file written by :func:`save_bundle`.
+
+    Each field is read as the type ``save_bundle`` writes, under
+    ``PipelineConfig()``, and the file is accepted only if that bundle
+    serializes back to the same document. So a wrong JSON type, an unknown
+    key, another activation or another configuration is a ``CorruptModel``;
+    the ``preprocess`` and ``segment`` sections are a checked echo.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -367,44 +367,18 @@ def load_bundle(path) -> TrainedBundle:
         raise VersionMismatch(f"model version {version!r}, supported {MODEL_VERSION}")
     try:
         classes = tuple(str(c) for c in doc["classes"])
-        hierarchy = doc["hierarchy"]
-        entries = []
-        for c in classes:
-            entry = (hierarchy[c]["cluster"], hierarchy[c]["poison"], hierarchy[c]["family"])
-            if [type(v) for v in entry] != [str, bool, str]:
-                raise CorruptModel(
-                    f"class {c!r}: cluster and family must be strings, poison a boolean"
-                )
-            entries.append(entry)
-        registry = LabelRegistry(classes, tuple(entries))
-        layer_sizes = tuple(_json_int(s) for s in doc["mlp"]["layer_sizes"])
+        entries = tuple(
+            (str(h["cluster"]), bool(h["poison"]), str(h["family"]))
+            for h in (doc["hierarchy"][c] for c in classes)
+        )
+        layer_sizes = tuple(int(s) for s in doc["mlp"]["layer_sizes"])
         weights = [np.array(w, dtype=np.float64) for w in doc["mlp"]["weights"]]
-        activation = doc["mlp"]["activation"]
-        raw_nodes = doc["tree"]["nodes"]
-        nodes = []
-        for item in raw_nodes:
-            if "leaf" in item:
-                nodes.append(TreeNode(leaf=_json_int(item["leaf"])))
-            else:
-                nodes.append(
-                    TreeNode(
-                        feature=_json_int(item["f"]),
-                        threshold=float(item["t"]),
-                        left=_json_int(item["l"]),
-                        right=_json_int(item["r"]),
-                    )
-                )
-        tree = DecisionTree(tuple(nodes))
-        pre = PreprocessConfig(
-            background_tolerance=float(doc["preprocess"]["background_tolerance"]),
-            median_radius=_json_int(doc["preprocess"]["median_radius"]),
-        )
-        config = PipelineConfig(
-            preprocess=pre,
-            fg_tolerance=float(doc["segment"]["fg_tolerance"]),
-            group_tolerance=float(doc["segment"]["group_tolerance"]),
-            bands=_json_int(doc["segment"]["bands"]),
-        )
+        nodes = [
+            TreeNode(leaf=int(n["leaf"])) if "leaf" in n
+            else TreeNode(feature=int(n["f"]), threshold=float(n["t"]),
+                          left=int(n["l"]), right=int(n["r"]))
+            for n in doc["tree"]["nodes"]
+        ]
         layout = int(doc["feature_layout_version"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"model file structure is invalid: {exc}") from exc
@@ -412,8 +386,13 @@ def load_bundle(path) -> TrainedBundle:
         raise VersionMismatch(
             f"feature layout version {layout}, supported {FEATURE_LAYOUT_VERSION}"
         )
-    if activation != mlp.ACTIVATION:
-        raise CorruptModel(f"unsupported activation {activation!r}")
+    model = MlpModel(layer_sizes, weights, [np.zeros_like(w) for w in weights])
+    registry = LabelRegistry(classes, entries)
+    bundle = TrainedBundle(model, DecisionTree(tuple(nodes)), registry, PipelineConfig())
+    if json.dumps(_bundle_to_doc(bundle), sort_keys=True) != json.dumps(doc, sort_keys=True):
+        raise CorruptModel("model file is not what save_bundle writes under PipelineConfig()")
+    if len(set(classes)) != len(classes):  # index_of would find only the first
+        raise CorruptModel("class names repeat")
     if len(layer_sizes) != 3 or any(s < 1 for s in layer_sizes):
         raise CorruptModel(f"bad layer sizes {layer_sizes}")
     n_in, n_hidden, n_out = layer_sizes
@@ -448,5 +427,4 @@ def load_bundle(path) -> TrainedBundle:
     for i, count in enumerate(parents[1:], start=1):
         if count != 1:
             raise CorruptModel(f"node {i} is the child of {count} nodes, not exactly one")
-    model = MlpModel(layer_sizes, weights, [np.zeros_like(w) for w in weights])
-    return TrainedBundle(model, tree, registry, config)
+    return bundle

@@ -26,26 +26,23 @@ class PreprocessConfig:
     """Knobs for background unification and the noise filter."""
 
     background_tolerance: float = 25.0  # Euclidean RGB distance, 0..441
-    median_radius: int = 1  # 0 disables, 1 -> 3x3 window, 2 -> 5x5
+    median_radius: int = 1  # 0 disables, 1 -> 3x3 window
 
     def __post_init__(self):
         if not self.background_tolerance >= 0:  # NaN fails too
             raise InvalidConfig("background_tolerance must be >= 0")
-        if self.median_radius not in (0, 1, 2):
-            raise InvalidConfig("median_radius must be 0, 1 or 2")
+        if self.median_radius not in (0, 1):
+            raise InvalidConfig("median_radius must be 0 or 1")
 
 
 def median_filter(img: RgbImage, radius: int) -> RgbImage:
-    """Per-channel median over the (2r+1)^2 window, edges clamped."""
-    if radius not in (0, 1, 2):
-        raise ValueError("radius must be 0, 1 or 2")
+    """Per-channel median over the 3x3 window, edges clamped; radius 0
+    returns ``img`` itself."""
+    if radius not in (0, 1):
+        raise InvalidConfig("radius must be 0 or 1")
     if radius == 0:
         return img
-    h, w = img.height, img.width
-    p = np.pad(img.pixels, ((radius, radius), (radius, radius), (0, 0)), mode="edge")
-    if radius == 2:
-        stack = np.stack([p[dy : dy + h, dx : dx + w] for dy in range(5) for dx in range(5)])
-        return RgbImage(np.partition(stack, 12, axis=0)[12])  # middle of 25
+    p = np.pad(img.pixels, ((1, 1), (1, 1), (0, 0)), mode="edge")
     # Paeth's 19-exchange median-of-9 network on the window rows p0..p8.
     # Exchanges 1-9 sort each row, once for the three windows sharing it.
     mn, mx = np.minimum, np.maximum

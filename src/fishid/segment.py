@@ -164,7 +164,7 @@ def divide_segments(mask: FishMask, img: RgbImage, k: int):
     trailing bands are zero-width). Returns a list of
     ``((x0, y0, w, h), mean_rgb, pixel_count)`` per band."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidConfig("k must be >= 1")
     x0, y0, w, h = mask.bbox
     base = max(1, w // k)
     ys, xs = np.nonzero(mask.bits)

@@ -100,6 +100,55 @@ def test_load_bundle_undecodable_json(tmp_path, text):
         pipeline.load_bundle(path)
 
 
+# finite floats, with the extremes and 17-significant-digit values drawn often
+edge_floats = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1 + 0.2, 1 / 3, -2 / 3]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bundles(draw):
+    """A small random bundle that passes every load-time check."""
+    n_out, n_hidden = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=n_out, max_size=n_out,
+                          unique=True))
+    entries = [(draw(st.text(max_size=4)), draw(st.booleans()), draw(st.text(max_size=4)))
+               for _ in names]
+    weights = [np.array(draw(st.lists(edge_floats, min_size=r * c, max_size=r * c)),
+                        dtype=np.float64).reshape(r, c)
+               for r, c in ((n_hidden, FEATURE_COUNT + 1), (n_out, n_hidden + 1))]
+    nodes = []
+
+    def grow(depth):  # pre-order, like dtree.fit
+        i = len(nodes)
+        nodes.append(None)
+        if depth == 0 or draw(st.booleans()):
+            nodes[i] = dtree.TreeNode(leaf=draw(st.integers(0, n_out - 1)))
+        else:
+            feature, threshold = draw(st.integers(0, n_out - 1)), draw(edge_floats)
+            left, right = grow(depth - 1), grow(depth - 1)
+            nodes[i] = dtree.TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+        return i
+
+    grow(3)
+    net = mlp.MlpModel((FEATURE_COUNT, n_hidden, n_out), weights,
+                       [np.zeros_like(w) for w in weights])
+    registry = LabelRegistry(tuple(names), tuple(entries))
+    return pipeline.TrainedBundle(net, dtree.DecisionTree(tuple(nodes)), registry,
+                                  pipeline.PipelineConfig())
+
+
+@FUZZ
+@given(bundle=bundles())
+def test_save_load_save_is_byte_identical(tmp_path_factory, bundle):
+    """Every file save_bundle writes passes load_bundle's comparison."""
+    first = tmp_path_factory.getbasetemp() / "first.json"
+    again = tmp_path_factory.getbasetemp() / "again.json"
+    pipeline.save_bundle(bundle, first)
+    pipeline.save_bundle(pipeline.load_bundle(first), again)
+    assert again.read_bytes() == first.read_bytes()
+
+
 manifest_bytes = st.one_of(
     st.binary(max_size=300),
     st.builds(

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 
 import numpy as np
@@ -275,7 +277,7 @@ class TestPersistence:
     def test_hierarchy_types(self, small_bundle, tmp_path, key, value):
         def edit(doc):
             doc["hierarchy"][doc["classes"][0]][key] = value
-        with pytest.raises(CorruptModel, match="poison a boolean"):
+        with pytest.raises(CorruptModel, match="what save_bundle writes"):
             load_bundle(_edited_model(small_bundle, tmp_path, edit))
 
     def test_feature_layout_mismatch(self, small_bundle, tmp_path):
@@ -318,7 +320,42 @@ class TestPersistence:
                 doc["segment"][field] = value
             else:
                 nodes[0][field] = value
-        with pytest.raises(CorruptModel, match="JSON integer"):
+        with pytest.raises(CorruptModel, match="what save_bundle writes"):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    @pytest.mark.parametrize("keys, value", [
+        (("tree", "nodes", 0, "t"), "0.5"),
+        (("tree", "nodes", 0, "t"), True),
+        (("version",), True),
+        (("version",), 1.0),
+        (("feature_layout_version",), 1.9),
+        (("feature_layout_version",), "1"),
+        (("preprocess", "background_tolerance"), "25"),
+        (("segment", "fg_tolerance"), True),
+        (("segment", "fg_tolerance"), 35.0),
+        (("preprocess", "median_radius"), 0),
+        (("preprocess", "median_radius"), 2),
+        (("mlp", "weights", 0, 0, 0), "0.5"),
+        (("comment",), "hand edited"),
+    ], ids=[
+        "t-string", "t-true", "version-true", "version-float", "layout-float",
+        "layout-string", "background-tolerance-string", "fg-tolerance-true",
+        "fg-tolerance-other", "median-radius-0", "median-radius-2", "weight-string",
+        "unknown-key",
+    ])
+    def test_only_what_save_bundle_writes_loads(self, small_bundle, tmp_path, keys, value):
+        def edit(doc):
+            *path, last = keys
+            functools.reduce(operator.getitem, path, doc)[last] = value
+        with pytest.raises((CorruptModel, VersionMismatch)):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    def test_repeated_class_names_rejected(self, small_bundle, tmp_path):
+        def edit(doc):  # the second class takes the first one's name
+            first, second = doc["classes"][:2]
+            doc["classes"][1] = first
+            del doc["hierarchy"][second]
+        with pytest.raises(CorruptModel, match="class names repeat"):
             load_bundle(_edited_model(small_bundle, tmp_path, edit))
 
 

@@ -74,7 +74,7 @@ class TestMedianFilter:
         img = RgbImage(np.full((5, 4, 3), 7, dtype=np.uint8))
         assert np.array_equal(median_filter(img, 1).pixels, img.pixels)
 
-    @given(st.integers(0, 255), st.sampled_from([1, 2]))
+    @given(st.integers(0, 255), st.sampled_from([0, 1]))
     def test_idempotent_on_constant_images(self, v, radius):
         img = RgbImage(np.full((6, 6, 3), v, dtype=np.uint8))
         once = median_filter(img, radius)
@@ -87,7 +87,7 @@ class TestMedianFilter:
             median_filter(img, 3)
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([2, 3, 256]))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]), st.sampled_from([2, 3, 256]))
     def test_matches_np_median_of_padded_windows(self, seed, radius, levels):
         """Oracle: np.median over each edge-padded (2r+1)^2 window, per channel,
         for every shape from 1x1 to 8x8. Few levels (0/255 included) put many
@@ -180,7 +180,7 @@ class TestFilterAndUnify:
         st.integers(3, 10),
         st.integers(3, 10),
         st.integers(0, 2**32 - 1),
-        st.sampled_from([0, 1, 2]),
+        st.sampled_from([0, 1]),
         st.sampled_from([0.0, 10.0, 25.0, 120.0, 441.0, 1000.0]),
         st.sampled_from(["empty", "blob", "top", "bottom", "left", "right", "noise", "tie"]),
     )
