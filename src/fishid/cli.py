@@ -231,7 +231,7 @@ def main(argv=None) -> int:
         rc = _HANDLERS[args.command](merged)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return rc
-    except ToolkitError as exc:
+    except (ToolkitError, MemoryError) as exc:  # MemoryError: e.g. a huge --hidden
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

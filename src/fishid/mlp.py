@@ -60,7 +60,6 @@ class MlpModel:
     layer_sizes: tuple[int, int, int]
     weights: list[np.ndarray]  # [(hidden, in+1), (out, hidden+1)], bias last
     momentum: list[np.ndarray]
-    activation: str = ACTIVATION
 
 
 @dataclass

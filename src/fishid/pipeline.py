@@ -8,6 +8,7 @@ round-trip floats), so identical bundles serialize to identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 import json
 import os
@@ -21,7 +22,6 @@ from .errors import (
     CorruptModel,
     EmptyTestSet,
     EmptyTrainingSet,
-    InvalidConfig,
     IoFailure,
     ToolkitError,
     VersionMismatch,
@@ -46,20 +46,13 @@ DEFAULT_HIDDEN = 24
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Preprocessing and segmentation knobs used by a trained bundle."""
+    """The pipeline's preprocessing and segmentation constants. No field can
+    be set, so every bundle and every model file holds this configuration."""
 
-    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    fg_tolerance: float = 40.0
-    group_tolerance: float = 20.0
-    bands: int = 4
-
-    def __post_init__(self):
-        if not self.fg_tolerance > 0:
-            raise InvalidConfig("fg_tolerance must be > 0")
-        if not self.group_tolerance >= 0:
-            raise InvalidConfig("group_tolerance must be >= 0")
-        if self.bands < 1:
-            raise InvalidConfig("bands must be >= 1")
+    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig, init=False)
+    fg_tolerance: float = field(default=40.0, init=False)
+    group_tolerance: float = field(default=20.0, init=False)
+    bands: int = field(default=4, init=False)
 
 
 @dataclass
@@ -314,7 +307,7 @@ def _bundle_to_doc(bundle: TrainedBundle) -> dict:
         "mlp": {
             "layer_sizes": list(bundle.mlp.layer_sizes),
             "weights": [w.tolist() for w in bundle.mlp.weights],
-            "activation": bundle.mlp.activation,
+            "activation": mlp.ACTIVATION,
         },
         "tree": {"nodes": nodes},
         "preprocess": {
@@ -338,17 +331,19 @@ def save_bundle(bundle: TrainedBundle, path) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):  # never created, or already gone
+            os.remove(tmp)
         raise IoFailure(f"writing model to {path}: {exc}") from exc
 
 
 def load_bundle(path) -> TrainedBundle:
     """Read and validate a model file written by :func:`save_bundle`.
 
-    Each field is read as the type ``save_bundle`` writes, under
-    ``PipelineConfig()``, and the file is accepted only if that bundle
-    serializes back to the same document. So a wrong JSON type, an unknown
-    key, another activation or another configuration is a ``CorruptModel``;
-    the ``preprocess`` and ``segment`` sections are a checked echo.
+    Each field is read as the type ``save_bundle`` writes, and the file is
+    accepted only if the bundle built from it serializes back to the same
+    document. So a wrong JSON type, an unknown key, another activation or
+    another configuration is a ``CorruptModel``; the ``preprocess`` and
+    ``segment`` sections are a checked echo of the pipeline's constants.
     """
     try:
         with open(path, "rb") as fh:
@@ -390,7 +385,7 @@ def load_bundle(path) -> TrainedBundle:
     registry = LabelRegistry(classes, entries)
     bundle = TrainedBundle(model, DecisionTree(tuple(nodes)), registry, PipelineConfig())
     if json.dumps(_bundle_to_doc(bundle), sort_keys=True) != json.dumps(doc, sort_keys=True):
-        raise CorruptModel("model file is not what save_bundle writes under PipelineConfig()")
+        raise CorruptModel("model file is not what save_bundle writes")
     if len(set(classes)) != len(classes):  # index_of would find only the first
         raise CorruptModel("class names repeat")
     if len(layer_sizes) != 3 or any(s < 1 for s in layer_sizes):

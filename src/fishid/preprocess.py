@@ -9,7 +9,7 @@ feature extraction relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -23,16 +23,11 @@ _ROTATION_SKIP_RAD = math.radians(0.5)
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Knobs for background unification and the noise filter."""
+    """The pipeline's constants for the noise filter and background
+    unification; no field can be set."""
 
-    background_tolerance: float = 25.0  # Euclidean RGB distance, 0..441
-    median_radius: int = 1  # 0 disables, 1 -> 3x3 window
-
-    def __post_init__(self):
-        if not self.background_tolerance >= 0:  # NaN fails too
-            raise InvalidConfig("background_tolerance must be >= 0")
-        if self.median_radius not in (0, 1):
-            raise InvalidConfig("median_radius must be 0 or 1")
+    background_tolerance: float = field(default=25.0, init=False)  # RGB distance
+    median_radius: int = field(default=1, init=False)  # the paper's 3x3 window
 
 
 def median_filter(img: RgbImage, radius: int) -> RgbImage:
@@ -71,6 +66,8 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
 
     Returns ``(image, background_color)``; the image is a new array.
     """
+    if not tolerance >= 0:  # NaN fails too
+        raise InvalidConfig("tolerance must be >= 0")
     if img.width < 3 or img.height < 3:
         raise ImageTooSmall("background unification needs at least 3x3 pixels")
     px, r = img.pixels, radius

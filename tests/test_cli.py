@@ -316,6 +316,7 @@ def test_missing_output_dir_fails_before_any_image_is_analyzed(
     assert not target.parent.exists()
 
 
+@pytest.mark.filterwarnings("ignore:hidden layer:UserWarning")
 def test_bad_hidden_fails_before_any_image_is_analyzed(
     cli_workdir, cli_corpus, monkeypatch, capsys
 ):
@@ -324,7 +325,9 @@ def test_bad_hidden_fails_before_any_image_is_analyzed(
 
     monkeypatch.setattr(pipeline, "analyze_image", refuse)
     out = cli_workdir / "never-written.json"
-    argv = ["train", "--manifest", os.fspath(cli_corpus), "--out", os.fspath(out),
-            "--hidden", "0"]
-    assert "layer sizes" in one_error_line(capsys, main(argv))
-    assert not out.exists()
+    # 10**15 hidden units ask for 341 PiB, so the allocation fails at once
+    for hidden, message in [("0", "layer sizes"), (str(10**15), "allocate")]:
+        argv = ["train", "--manifest", os.fspath(cli_corpus), "--out", os.fspath(out),
+                "--hidden", hidden]
+        assert message in one_error_line(capsys, main(argv))
+        assert not out.exists()

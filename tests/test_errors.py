@@ -7,7 +7,7 @@ from fishid import dtree
 from fishid.dtree import LabelRegistry
 from fishid.errors import InconsistentHierarchy, InvalidConfig
 from fishid.imageio import RgbImage
-from fishid.preprocess import PreprocessConfig, median_filter
+from fishid.preprocess import filter_and_unify, median_filter
 from fishid.segment import FishMask, divide_segments
 
 IMG = RgbImage(np.zeros((3, 3, 3), dtype=np.uint8))
@@ -23,13 +23,14 @@ ROWS = [([0.0], 0), ([1.0], 1)]
     (lambda: RgbImage(np.zeros((3, 3, 3), dtype=np.int16)), InvalidConfig),
     (lambda: RgbImage(np.zeros((0, 3, 3), dtype=np.uint8)), InvalidConfig),
     (lambda: median_filter(IMG, 2), InvalidConfig),
-    (lambda: PreprocessConfig(median_radius=2), InvalidConfig),
+    (lambda: filter_and_unify(IMG, 0, -1.0), InvalidConfig),
+    (lambda: filter_and_unify(IMG, 0, float("nan")), InvalidConfig),
     (lambda: LabelRegistry.from_rows([("A", False, "c1"), ("A", False, "c2")]),
      InconsistentHierarchy),
 ], ids=[
     "fit-max-depth", "fit-min-leaf", "fit-negative-class", "divide-segments-k",
     "image-shape", "image-dtype", "image-empty", "median-radius-2",
-    "config-median-radius-2", "registry-conflict",
+    "unify-tolerance-negative", "unify-tolerance-nan", "registry-conflict",
 ])
 def test_library_errors_are_toolkit_errors(call, error):
     with pytest.raises(error):

@@ -20,7 +20,6 @@ from fishid.features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, find_head_sid
 from fishid.imageio import RgbImage, encode_ppm, load_manifest, write_manifest
 from fishid.mlp import TrainConfig
 from fishid.preprocess import (
-    PreprocessConfig,
     median_filter,
     normalize_rotation,
     unify_background,
@@ -86,17 +85,16 @@ class TestAnalyzeImage:
         rescanned = FishMask.from_bits(mask.bits)
         assert (mask.area, mask.bbox) == (rescanned.area, rescanned.bbox)
 
-    @pytest.mark.parametrize("radius", [0, 1])
-    def test_mirrored_image_leaves_the_input_alone(self, radius):
+    def test_mirrored_image_leaves_the_input_alone(self):
         """A right-facing fish's image is a reversed view of a frame the
-        pipeline made (with radius 0 the median filter returns its input)."""
+        pipeline made, not of the caller's pixels."""
         spec = synthgen.default_families()[0]
         seed = next(s for s in range(50) if not synthgen.render_params(spec, s).head_left)
         img = synthgen.render_fish(spec, seed, synthgen.SynthConfig())
         before = img.pixels.copy()
-        config = pipeline.PipelineConfig(preprocess=PreprocessConfig(median_radius=radius))
+        config = pipeline.PipelineConfig()
         analysis = pipeline.analyze_image(img, config)
-        unified, bg = unify_background(median_filter(img, radius), config.preprocess)
+        unified, bg = unify_background(median_filter(img, 1), config.preprocess)
         rotated = normalize_rotation(unified, bg)
         assert find_head_side(extract_mask(rotated, bg, config.fg_tolerance)) == "right"
         assert np.array_equal(img.pixels, before)
@@ -233,6 +231,13 @@ class TestPersistence:
         with pytest.raises(IoFailure):
             load_bundle("/nonexistent/model.json")
 
+    def test_failed_save_leaves_no_temp_file(self, small_bundle, tmp_path):
+        target = tmp_path / "model.json"
+        target.mkdir()  # the temp file is written, the rename onto it fails
+        with pytest.raises(IoFailure):
+            save_bundle(small_bundle, target)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     @pytest.mark.parametrize("nodes", [
         [{"f": 0, "t": 0.5, "l": 0, "r": 0}],  # node 0 is its own child
         [{"f": 0, "t": 0.5, "l": 1, "r": 2}, {"leaf": 0}, {"f": 0, "t": 0.5, "l": 0, "r": 1}],
@@ -337,11 +342,12 @@ class TestPersistence:
         (("preprocess", "median_radius"), 2),
         (("mlp", "weights", 0, 0, 0), "0.5"),
         (("comment",), "hand edited"),
+        (("mlp", "activation"), "tanh"),
     ], ids=[
         "t-string", "t-true", "version-true", "version-float", "layout-float",
         "layout-string", "background-tolerance-string", "fg-tolerance-true",
         "fg-tolerance-other", "median-radius-0", "median-radius-2", "weight-string",
-        "unknown-key",
+        "unknown-key", "activation-other",
     ])
     def test_only_what_save_bundle_writes_loads(self, small_bundle, tmp_path, keys, value):
         def edit(doc):

@@ -109,14 +109,14 @@ class TestUnifyBackground:
     def test_near_background_pixel_absorbed(self):
         px = np.full((5, 5, 3), 255, dtype=np.uint8)
         px[2, 2] = (250, 250, 250)
-        out, bg = unify_background(RgbImage(px), PreprocessConfig(background_tolerance=10))
+        out, bg = filter_and_unify(RgbImage(px), 0, 10)
         assert bg == (255, 255, 255)
         assert out.pixels[2, 2].tolist() == [255, 255, 255]
 
     def test_zero_tolerance_keeps_distinct_pixels(self):
         px = np.full((5, 5, 3), 255, dtype=np.uint8)
         px[2, 2] = (250, 250, 250)
-        out, bg = unify_background(RgbImage(px), PreprocessConfig(background_tolerance=0))
+        out, bg = filter_and_unify(RgbImage(px), 0, 0)
         assert out.pixels[2, 2].tolist() == [250, 250, 250]
 
     def test_synthetic_fish_on_blue(self):
@@ -134,7 +134,7 @@ class TestUnifyBackground:
         px = np.zeros((4, 4, 3), dtype=np.uint8)
         px[:2, :] = (10, 0, 0)
         px[2:, :] = (0, 10, 0)
-        _, bg = unify_background(RgbImage(px), PreprocessConfig(background_tolerance=0))
+        _, bg = filter_and_unify(RgbImage(px), 0, 0)
         assert bg == (0, 10, 0)
 
     def test_border_tie_orders_red_then_green_then_blue(self):
@@ -144,7 +144,7 @@ class TestUnifyBackground:
         px[0, :] = (1, 0, 0)
         px[-1, :] = (0, 1, 0)
         px[1:-1, 0] = px[1:-1, -1] = (0, 0, 200)
-        _, bg = unify_background(RgbImage(px), PreprocessConfig(background_tolerance=0))
+        _, bg = filter_and_unify(RgbImage(px), 0, 0)
         assert bg == (0, 0, 200)
 
     def test_too_small(self):
@@ -154,10 +154,10 @@ class TestUnifyBackground:
     def test_never_touches_far_pixels(self):
         rng = np.random.default_rng(9)
         px = rng.integers(0, 256, (12, 12, 3), dtype=np.uint8)
-        cfg = PreprocessConfig(background_tolerance=60.0)
-        out, bg = unify_background(RgbImage(px.copy()), cfg)
+        tolerance = 60.0
+        out, bg = filter_and_unify(RgbImage(px.copy()), 0, tolerance)
         d = np.sqrt(np.sum((px.astype(float) - bg) ** 2, axis=2))
-        far = d > cfg.background_tolerance
+        far = d > tolerance
         assert np.array_equal(out.pixels[far], px[far])
 
 
