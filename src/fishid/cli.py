@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 from . import pipeline, synthgen
 from .errors import IoFailure, ToolkitError
@@ -224,23 +225,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """One ``warning:`` line, not Python's source-quoting format."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        merged = _merge_options(args.command, args)
-        rc = _HANDLERS[args.command](merged)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
-        return rc
-    except (ToolkitError, MemoryError) as exc:  # MemoryError: e.g. a huge --hidden
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # the reader left early (``fishid evaluate ... | head``); point stdout
-        # at devnull so the interpreter's final flush cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+    with warnings.catch_warnings():  # restores showwarning, keeps the active filters
+        warnings.showwarning = _show_warning
+        try:
+            merged = _merge_options(args.command, args)
+            rc = _HANDLERS[args.command](merged)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            return rc
+        except (ToolkitError, MemoryError) as exc:  # MemoryError: e.g. a huge --hidden
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # the reader left early (``fishid evaluate ... | head``); point stdout
+            # at devnull so the interpreter's final flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
 
 
 if __name__ == "__main__":

@@ -19,6 +19,15 @@ from .imageio import RgbImage, differs_window, filled, sq_distance
 
 # skip resampling when the measured orientation is below half a degree
 _ROTATION_SKIP_RAD = math.radians(0.5)
+# the frame-sized passes run in bands of rows whose temporaries together
+# stay in the L2 cache, instead of faulting in fresh frame-sized pages
+_BAND_BYTES = 1 << 17
+
+
+def _bands(height: int, row_bytes: int):
+    """Row slices covering ``range(height)``, each about ``_BAND_BYTES``."""
+    step = max(1, _BAND_BYTES // row_bytes)
+    return [slice(r, min(r + step, height)) for r in range(0, height, step)]
 
 
 @dataclass(frozen=True)
@@ -37,21 +46,28 @@ def median_filter(img: RgbImage, radius: int) -> RgbImage:
         raise InvalidConfig("radius must be 0 or 1")
     if radius == 0:
         return img
-    p = np.pad(img.pixels, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    # Paeth's 19-exchange median-of-9 network on the window rows p0..p8.
-    # Exchanges 1-9 sort each row, once for the three windows sharing it.
+    h, w, _ = img.pixels.shape
+    # interleaved rows, no size-3 axis: a pixel's row neighbours are 3 bytes away
+    p = np.pad(img.pixels, ((1, 1), (1, 1), (0, 0)), mode="edge").reshape(h + 2, 3 * w + 6)
+    out = np.empty_like(img.pixels)
+    rows = out.reshape(h, 3 * w)
     mn, mx = np.minimum, np.maximum
-    a, b, c = p[:, :-2], p[:, 1:-1], p[:, 2:]
-    b, c = mn(b, c), mx(b, c)
-    a, b = mn(a, b), mx(a, b)
-    b, c = mn(b, c), mx(b, c)
-    p0, p1, p2 = a[:-2], b[:-2], c[:-2]
-    p3, p4, p5 = a[1:-1], b[1:-1], c[1:-1]
-    p6, p7, p8 = a[2:], b[2:], c[2:]
-    # exchanges 10-19, keeping only the outputs later exchanges read
-    p3, p5, p4, p7 = mx(p0, p3), mn(p5, p8), mn(p4, p7), mx(p4, p7)
-    p6, p4, p2 = mx(p3, p6), mn(mx(p1, p4), p7), mn(p2, p5)
-    return RgbImage(mn(mx(p6, mn(p4, p2)), mx(p4, p2)))
+    for band in _bands(h, p[0].nbytes):
+        q = p[band.start : band.stop + 2]
+        # Paeth's 19-exchange median-of-9 network on the window rows p0..p8.
+        # Exchanges 1-9 sort each row, once for the three windows sharing it.
+        a, b, c = q[:, :-6], q[:, 3:-3], q[:, 6:]
+        b, c = mn(b, c), mx(b, c)
+        a, b = mn(a, b), mx(a, b)
+        b, c = mn(b, c), mx(b, c)
+        p0, p1, p2 = a[:-2], b[:-2], c[:-2]
+        p3, p4, p5 = a[1:-1], b[1:-1], c[1:-1]
+        p6, p7, p8 = a[2:], b[2:], c[2:]
+        # exchanges 10-19, keeping only the outputs later exchanges read
+        p3, p5, p4, p7 = mx(p0, p3), mn(p5, p8), mn(p4, p7), mx(p4, p7)
+        p6, p4, p2 = mx(p3, p6), mn(mx(p1, p4), p7), mn(p2, p5)
+        mn(mx(p6, mn(p4, p2)), mx(p4, p2), out=rows[band])
+    return RgbImage(out)
 
 
 def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
@@ -91,7 +107,12 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
         grown = tuple(slice(max(s.start - r, 0), s.stop + r) for s in box)
         win = out[grown]
         win[:] = median_filter(RgbImage(px[grown]), r).pixels
-        win[sq_distance(win, np.array(color, dtype=np.uint8)) <= tolerance**2] = color
+        bg = np.array(color, dtype=np.uint8)
+        near = sq_distance(win, bg) <= tolerance**2
+        h, w = near.shape
+        # one masked copy over the interleaved rows; indexing by pixel moves 3 bytes a step
+        np.copyto(win.reshape(h, 3 * w), np.tile(bg, w),
+                  where=np.stack((near, near, near), axis=-1).reshape(h, 3 * w))
     return RgbImage(out), color
 
 
@@ -105,9 +126,12 @@ def _foreground_coords(img: RgbImage, background_color):
     box = differs_window(img.pixels, background_color)
     if box is None:
         raise EmptyForeground("image has no non-background pixels")
-    fg = img.pixels[box] != np.asarray(background_color, dtype=np.uint8)
+    win = img.pixels[box]
+    h, w, _ = win.shape
+    # compare interleaved rows, then OR each pixel's three channel columns
+    fg = win.reshape(h, 3 * w) != np.tile(np.asarray(background_color, dtype=np.uint8), w)
     # row-major order inside the window is row-major order in the frame
-    ys, xs = np.nonzero(fg[..., 0] | fg[..., 1] | fg[..., 2])
+    ys, xs = np.nonzero(fg[:, 0::3] | fg[:, 1::3] | fg[:, 2::3])
     return ys + box[0].start, xs + box[1].start
 
 
@@ -155,19 +179,22 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     oy = cos_t * sy - sin_t * sx + cy + y0
     wx0, wx1 = max(math.floor(ox.min()) - 2, 0), min(math.ceil(ox.max()) + 3, w)
     wy0, wy1 = max(math.floor(oy.min()) - 2, 0), min(math.ceil(oy.max()) + 3, h)
-    gx = np.arange(wx0, wx1, dtype=np.float64) - x0
-    gy = np.arange(wy0, wy1, dtype=np.float64) - y0
-    u = gx[np.newaxis, :] - cx
-    v = gy[:, np.newaxis] - cy
+    u = np.arange(wx0, wx1, dtype=np.float64) - x0 - cx
+    v = (np.arange(wy0, wy1, dtype=np.float64) - y0 - cy)[:, np.newaxis]
+    # a band sums these products as the frame-wide expression does: same bytes
+    cos_u, sin_u, sin_v, cos_v = cos_t * u, sin_t * u, sin_t * v, cos_t * v
     # the fish bbox inside a one-pixel background border: a source clipped to
     # [-1, bw] x [-1, bh] lands on the border when it is outside the bbox
     fish = filled(bh + 2, bw + 2, background_color)
     fish[1:-1, 1:-1] = img.pixels[y0 : y0 + bh, x0 : x0 + bw]
-    src_x = cos_t * u - sin_t * v + cx
-    src_y = sin_t * u + cos_t * v + cy
-    np.clip(np.rint(src_x, out=src_x), -1, bw, out=src_x)
-    np.clip(np.rint(src_y, out=src_y), -1, bh, out=src_y)
-    flat = ((src_y + 1) * (bw + 2) + (src_x + 1)).astype(np.intp)  # exact in float64
+    fish = fish.reshape(-1, 3)
     out = filled(h, w, background_color)
-    out[wy0:wy1, wx0:wx1] = np.take(fish.reshape(-1, 3), flat, axis=0)
+    win = out[wy0:wy1, wx0:wx1]
+    for band in _bands(wy1 - wy0, u.nbytes):
+        src_x = cos_u - sin_v[band] + cx
+        src_y = sin_u + cos_v[band] + cy
+        np.clip(np.rint(src_x, out=src_x), -1, bw, out=src_x)
+        np.clip(np.rint(src_y, out=src_y), -1, bh, out=src_y)
+        flat = ((src_y + 1) * (bw + 2) + (src_x + 1)).astype(np.intp)  # exact in float64
+        win[band] = np.take(fish, flat, axis=0)
     return RgbImage(out)

@@ -103,17 +103,19 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
         raise EmptyForeground("no pixel exceeds the foreground tolerance")
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
-    best_size = sizes.max()
-    flat = labels.ravel()
-    # first row-major pixel belonging to any largest component wins
-    winner = flat[int(np.argmax(sizes[flat] == best_size))]
+    largest = np.flatnonzero(sizes == sizes.max())
+    winner = largest[0]
+    if largest.size > 1:
+        # a size tie: the first row-major pixel of any largest component wins
+        flat = labels.ravel()
+        winner = flat[int(np.argmax(sizes[flat] == sizes[winner]))]
     comp = labels == winner
     ys, xs = np.flatnonzero(comp.any(axis=1)), np.flatnonzero(comp.any(axis=0))
     bits = np.zeros(img.pixels.shape[:2], dtype=bool)
     bits[box] = comp
     bbox = (box[1].start + int(xs[0]), box[0].start + int(ys[0]),
             int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1)
-    return FishMask(bits, int(best_size), bbox)
+    return FishMask(bits, int(sizes[winner]), bbox)
 
 
 def trace_contour(mask: FishMask) -> Contour:

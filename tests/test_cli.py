@@ -331,3 +331,13 @@ def test_bad_hidden_fails_before_any_image_is_analyzed(
                 "--hidden", hidden]
         assert message in one_error_line(capsys, main(argv))
         assert not out.exists()
+
+
+def test_warning_is_one_warning_line(cli_workdir, cli_corpus, capsys):
+    out = cli_workdir / "wide.json"
+    argv = ["train", "--manifest", os.fspath(cli_corpus), "--out", os.fspath(out),
+            "--hidden", "142", "--max-epochs", "5"]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: hidden layer (142) exceeds three times the input layer (47);"
+                   " generalization tends to suffer\n")

@@ -1,10 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishid import synthgen
+from fishid import preprocess, synthgen
 from fishid.errors import EmptyForeground, ImageTooSmall
 from fishid.imageio import RgbImage
 from fishid.preprocess import (
@@ -58,6 +59,32 @@ def full_frame_rotation(img, background_color):
     out[oy, ox] = img.pixels[src_y[oy, ox], src_x[oy, ox]]
     return RgbImage(out)
 
+
+def small_bands(band_bytes):
+    """Cut the band budget to ``band_bytes``, so that small frames span
+    several bands, down to 1-row bands and a short last band."""
+    return mock.patch.object(preprocess, "_BAND_BYTES", band_bytes)
+
+
+MEDIAN_CASES = (st.integers(0, 2**32 - 1), st.sampled_from([0, 1]), st.sampled_from([2, 3, 256]))
+FILTER_CASES = (
+    st.integers(3, 10),
+    st.integers(3, 10),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1]),
+    st.sampled_from([0.0, 10.0, 25.0, 120.0, 441.0, 1000.0]),
+    st.sampled_from(["empty", "blob", "top", "bottom", "left", "right", "noise", "tie"]),
+)
+ROTATION_CASES = (
+    st.integers(3, 48),
+    st.integers(3, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, -0.5, 45.0, -45.0, 90.0, -90.0]),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([None, "blob", "top", "bottom", "left", "right"]),
+)
+
+
 class TestMedianFilter:
     def test_radius_zero_is_identity(self):
         rng = np.random.default_rng(1)
@@ -87,7 +114,7 @@ class TestMedianFilter:
             median_filter(img, 3)
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1]), st.sampled_from([2, 3, 256]))
+    @given(*MEDIAN_CASES)
     def test_matches_np_median_of_padded_windows(self, seed, radius, levels):
         """Oracle: np.median over each edge-padded (2r+1)^2 window, per channel,
         for every shape from 1x1 to 8x8. Few levels (0/255 included) put many
@@ -103,6 +130,14 @@ class TestMedianFilter:
                 out = median_filter(RgbImage(px), radius).pixels
                 assert out.dtype == np.uint8
                 assert np.array_equal(out, expected), (h, w)
+
+    @settings(deadline=None, max_examples=40)
+    @given(*MEDIAN_CASES)
+    def test_matches_np_median_in_small_bands(self, seed, radius, levels):
+        """Padded rows of 9..30 bytes: bands of 5..1 rows."""
+        with small_bands(48):
+            self.test_matches_np_median_of_padded_windows.hypothesis.inner_test(
+                self, seed, radius, levels)
 
 
 class TestUnifyBackground:
@@ -176,14 +211,7 @@ def full_frame_filter_and_unify(px, radius, tolerance):
 
 class TestFilterAndUnify:
     @settings(deadline=None, max_examples=400)
-    @given(
-        st.integers(3, 10),
-        st.integers(3, 10),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([0, 1]),
-        st.sampled_from([0.0, 10.0, 25.0, 120.0, 441.0, 1000.0]),
-        st.sampled_from(["empty", "blob", "top", "bottom", "left", "right", "noise", "tie"]),
-    )
+    @given(*FILTER_CASES)
     def test_matches_full_frame_path(self, h, w, seed, radius, tolerance, scene):
         """Pixels from a four-color palette (the background, a color at
         exactly the tolerance where the deltas allow, and two random ones): a
@@ -219,6 +247,14 @@ class TestFilterAndUnify:
         assert out.pixels.tobytes() == expected.tobytes()
         assert np.array_equal(px, before)
         assert not np.shares_memory(out.pixels, px)
+
+    @settings(deadline=None, max_examples=200)
+    @given(*FILTER_CASES)
+    def test_matches_full_frame_path_in_small_bands(self, h, w, seed, radius, tolerance, scene):
+        """Median crops of 1..10 pixels a row: bands of 5..1 rows."""
+        with small_bands(48):
+            self.test_matches_full_frame_path.hypothesis.inner_test(
+                self, h, w, seed, radius, tolerance, scene)
 
     def test_synthetic_fish_matches_full_frame_path(self):
         img = synthgen.render_fish(synthgen.default_families()[2], 3, synthgen.SynthConfig())
@@ -256,14 +292,7 @@ class TestNormalizeRotation:
 
 
     @settings(deadline=None, max_examples=400)
-    @given(
-        st.integers(3, 48),
-        st.integers(3, 64),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([0.5, -0.5, 45.0, -45.0, 90.0, -90.0]),
-        st.floats(-1.0, 1.0),
-        st.sampled_from([None, "blob", "top", "bottom", "left", "right"]),
-    )
+    @given(*ROTATION_CASES)
     def test_window_matches_full_frame(self, h, w, seed, near, delta, extra):
         """Ellipses drawn near the skip threshold and near +-45 and +-90
         degrees, centered anywhere (so rotation can carry them partly off the
@@ -299,3 +328,28 @@ class TestNormalizeRotation:
             assert out is img
         else:
             assert out.pixels.tobytes() == expected.pixels.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(*ROTATION_CASES)
+    def test_window_matches_full_frame_in_small_bands(self, h, w, seed, near, delta, extra):
+        """Output windows of 3..64 float64 a row: bands of 10..1 rows."""
+        with small_bands(256):
+            self.test_window_matches_full_frame.hypothesis.inner_test(
+                self, h, w, seed, near, delta, extra)
+
+    @pytest.mark.parametrize("channels", [[0], [1], [2], [0, 1, 2]])
+    def test_foreground_differing_in_one_channel(self, channels):
+        """A fish whose every pixel differs from the background in exactly
+        one channel: R only, G only, B only, or one of the three at random."""
+        rng = np.random.default_rng(sum(channels))
+        img = rotated_ellipse(23, a=40, b=15, size=(90, 120))
+        background = (255, 255, 255)
+        fish = np.any(img.pixels != background, axis=2)
+        px = np.full_like(img.pixels, 255)
+        ys, xs = np.nonzero(fish)
+        px[ys, xs, rng.choice(channels, ys.size)] = rng.integers(0, 255, ys.size)
+        img = RgbImage(px)
+        fy, fx = preprocess._foreground_coords(img, background)
+        assert np.array_equal(fy, ys) and np.array_equal(fx, xs)
+        out = normalize_rotation(img, background)
+        assert out.pixels.tobytes() == full_frame_rotation(img, background).pixels.tobytes()
