@@ -18,6 +18,7 @@ must not contain commas).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import re
 import struct
 
 import numpy as np
@@ -37,6 +38,13 @@ MANIFEST_HEADER = "path,family,poison,cluster,split"
 # intensity index weights (ITU luminance); round-half-up keeps equal-channel
 # grays at their own value for every v in 0..255
 _LUMA = np.array([0.299, 0.587, 0.114])
+
+# P6, then width, height and maxval: each number follows whitespace or '#'
+# comments and ends at one whitespace byte, the maxval's being the last byte
+# before the payload. A comment runs to a newline or the end of the data, so
+# a header matches in one way only and a failed match is linear in its length
+_PPM_SEP = rb"(?:\s|#[^\n]*(?:\n|\Z))*"
+_PPM_HEADER = re.compile(rb"P6" + (_PPM_SEP + rb"(\d+)\s") * 3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,38 +88,19 @@ def decode_image(data: bytes) -> RgbImage:
 
 
 def _decode_ppm(data: bytes) -> RgbImage:
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        # skip whitespace and '#' comments
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        tok = bytearray()
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            tok += data[pos : pos + 1]
-            pos += 1
-        if not tok:
-            raise UnsupportedFormat("PPM header ended early")
-        if not tok.isdigit():
-            raise UnsupportedFormat(f"bad PPM header token {bytes(tok)!r}")
-        try:
-            fields.append(int(tok))
-        except ValueError:  # more digits than Python parses
-            raise UnsupportedFormat(f"PPM header number of {len(tok)} digits") from None
-    width, height, maxval = fields
-    if width <= 0 or height <= 0:
-        raise UnsupportedFormat("zero or negative PPM dimension")
+    m = _PPM_HEADER.match(data)
+    if m is None:
+        raise UnsupportedFormat("malformed PPM header")
+    try:
+        width, height, maxval = map(int, m.groups())
+    except ValueError:  # more digits than Python parses
+        raise UnsupportedFormat("PPM header number past the integer digit limit") from None
+    if width == 0 or height == 0:
+        raise UnsupportedFormat("zero PPM dimension")
     if maxval != 255:
         raise UnsupportedFormat(f"unsupported PPM maxval {maxval}")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise UnsupportedFormat("missing whitespace after PPM maxval")
-    pos += 1  # exactly one whitespace byte before the payload
     need = width * height * 3
-    payload = data[pos : pos + need]
+    payload = data[m.end() : m.end() + need]
     if len(payload) < need:
         raise TruncatedData(f"PPM payload {len(payload)} bytes, need {need}")
     px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
@@ -166,7 +155,7 @@ def to_indexed(img: RgbImage) -> np.ndarray:
     """Map each pixel to its 0..255 intensity index (black .. white); returns
     an (h, w) uint8 array."""
     lum = img.pixels.astype(np.float64) @ _LUMA
-    return np.clip(np.floor(lum + 0.5), 0, 255).astype(np.uint8)
+    return np.floor(lum + 0.5).astype(np.uint8)  # in [0, 255] for uint8 channels
 
 
 def filled(h: int, w: int, color) -> np.ndarray:

@@ -35,8 +35,8 @@ class TrainConfig:
     init_scale: float = 0.5
 
     def __post_init__(self):
-        if not self.eta > 0:  # NaN fails too
-            raise InvalidConfig("eta must be > 0")
+        if not 0 < self.eta < math.inf:  # NaN fails too
+            raise InvalidConfig("eta must be finite and > 0")
         if not 0.0 <= self.alpha < 1.0:
             raise InvalidConfig("alpha must be in [0, 1)")
         if not self.epsilon > 0:
@@ -45,8 +45,8 @@ class TrainConfig:
             raise InvalidConfig("max_epochs must be >= 1")
         if self.seed < 0:
             raise InvalidConfig("seed must be >= 0")
-        if not self.init_scale > 0:
-            raise InvalidConfig("init_scale must be > 0")
+        if not 0 < 2 * self.init_scale < math.inf:
+            raise InvalidConfig("init_scale must be > 0 with 2 * init_scale finite")
 
 
 @dataclass

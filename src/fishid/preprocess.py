@@ -108,7 +108,7 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
         win = out[grown]
         win[:] = median_filter(RgbImage(px[grown]), r).pixels
         bg = np.array(color, dtype=np.uint8)
-        near = sq_distance(win, bg) <= tolerance**2
+        near = sq_distance(win, bg) <= tolerance * tolerance
         h, w = near.shape
         # one masked copy over the interleaved rows; indexing by pixel moves 3 bytes a step
         np.copyto(win.reshape(h, 3 * w), np.tile(bg, w),
@@ -120,19 +120,6 @@ def unify_background(img: RgbImage, cfg: PreprocessConfig):
     """Detect the background color and flatten everything near it:
     :func:`filter_and_unify` with radius 0. Returns ``(image, background_color)``."""
     return filter_and_unify(img, 0, cfg.background_tolerance)
-
-
-def _foreground_coords(img: RgbImage, background_color):
-    box = differs_window(img.pixels, background_color)
-    if box is None:
-        raise EmptyForeground("image has no non-background pixels")
-    win = img.pixels[box]
-    h, w, _ = win.shape
-    # compare interleaved rows, then OR each pixel's three channel columns
-    fg = win.reshape(h, 3 * w) != np.tile(np.asarray(background_color, dtype=np.uint8), w)
-    # row-major order inside the window is row-major order in the frame
-    ys, xs = np.nonzero(fg[:, 0::3] | fg[:, 1::3] | fg[:, 2::3])
-    return ys + box[0].start, xs + box[1].start
 
 
 def central_moments(ys, xs):
@@ -159,13 +146,19 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     background color. Inputs already within half a degree of horizontal are
     returned unchanged.
     """
-    ys, xs = _foreground_coords(img, background_color)
+    box = differs_window(img.pixels, background_color)
+    if box is None:
+        raise EmptyForeground("image has no non-background pixels")
+    box_px = img.pixels[box]
+    bh, bw, _ = box_px.shape
+    y0, x0 = box[0].start, box[1].start
+    # compare interleaved rows, then OR each pixel's three channel columns
+    fg = box_px.reshape(bh, 3 * bw) != np.tile(np.asarray(background_color, dtype=np.uint8), bw)
+    ys, xs = np.nonzero(fg[:, 0::3] | fg[:, 1::3] | fg[:, 2::3])
     cx, cy, s20, s02, s11 = central_moments(ys, xs)
     theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     if abs(theta) < _ROTATION_SKIP_RAD:
         return img
-    x0, y0 = int(xs.min()), int(ys.min())
-    bw, bh = int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1
     h, w = img.height, img.width
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     # output pixel p maps to source R(theta) (p - c) + c, all in local coords;
@@ -186,7 +179,7 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     # the fish bbox inside a one-pixel background border: a source clipped to
     # [-1, bw] x [-1, bh] lands on the border when it is outside the bbox
     fish = filled(bh + 2, bw + 2, background_color)
-    fish[1:-1, 1:-1] = img.pixels[y0 : y0 + bh, x0 : x0 + bw]
+    fish[1:-1, 1:-1] = box_px
     fish = fish.reshape(-1, 3)
     out = filled(h, w, background_color)
     win = out[wy0:wy1, wx0:wx1]

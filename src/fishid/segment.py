@@ -2,7 +2,9 @@
 
 Conventions: connected components use 4-connectivity, contour steps use
 8-connectivity. Tie-breaks always favor the smallest row-major pixel index so
-repeated runs are byte-for-byte reproducible.
+repeated runs are byte-for-byte reproducible; for the mask's size ties that
+rule follows from ``ndimage.label`` numbering components in row-major order
+of their first pixels.
 """
 
 from __future__ import annotations
@@ -103,12 +105,9 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
         raise EmptyForeground("no pixel exceeds the foreground tolerance")
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
-    largest = np.flatnonzero(sizes == sizes.max())
-    winner = largest[0]
-    if largest.size > 1:
-        # a size tie: the first row-major pixel of any largest component wins
-        flat = labels.ravel()
-        winner = flat[int(np.argmax(sizes[flat] == sizes[winner]))]
+    # labels count up in row-major order of their first pixels, so the first
+    # largest label holds the first row-major pixel of any largest component
+    winner = int(np.argmax(sizes))
     comp = labels == winner
     ys, xs = np.flatnonzero(comp.any(axis=1)), np.flatnonzero(comp.any(axis=0))
     bits = np.zeros(img.pixels.shape[:2], dtype=bool)

@@ -213,6 +213,7 @@ def test_config_errors_are_error_lines(cli_workdir, capsys, name, content, named
     [
         (["train", "--eta", "-1"], "eta"),
         (["train", "--eta", "nan"], "eta"),
+        (["train", "--eta", "inf"], "eta"),
         (["train", "--alpha", "1"], "alpha"),
         (["train", "--epsilon", "0"], "epsilon"),
         (["train", "--epsilon", "nan"], "epsilon"),
@@ -221,8 +222,8 @@ def test_config_errors_are_error_lines(cli_workdir, capsys, name, content, named
         (["gen-synth", "--seed", "-1"], "seed"),
         (["gen-synth", "--train-count", "scombridae=1"], "'scombridae'"),
     ],
-    ids=["eta", "eta-nan", "alpha", "epsilon", "epsilon-nan", "max-epochs", "train-seed",
-         "seed", "family-name"],
+    ids=["eta", "eta-nan", "eta-inf", "alpha", "epsilon", "epsilon-nan", "max-epochs",
+         "train-seed", "seed", "family-name"],
 )
 def test_invalid_settings_are_error_lines(cli_workdir, capsys, argv, named):
     out = os.fspath(cli_workdir / "never-written")

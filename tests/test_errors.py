@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fishid import dtree
+from fishid import dtree, mlp
 from fishid.dtree import LabelRegistry
 from fishid.errors import InconsistentHierarchy, InvalidConfig
 from fishid.imageio import RgbImage
@@ -27,10 +27,13 @@ ROWS = [([0.0], 0), ([1.0], 1)]
     (lambda: filter_and_unify(IMG, 0, float("nan")), InvalidConfig),
     (lambda: LabelRegistry.from_rows([("A", False, "c1"), ("A", False, "c2")]),
      InconsistentHierarchy),
+    (lambda: mlp.init((2, 2, 1), mlp.TrainConfig(init_scale=float("inf"))), InvalidConfig),
+    (lambda: mlp.init((2, 2, 1), mlp.TrainConfig(init_scale=1e308)), InvalidConfig),
 ], ids=[
     "fit-max-depth", "fit-min-leaf", "fit-negative-class", "divide-segments-k",
     "image-shape", "image-dtype", "image-empty", "median-radius-2",
     "unify-tolerance-negative", "unify-tolerance-nan", "registry-conflict",
+    "init-scale-inf", "init-scale-1e308",
 ])
 def test_library_errors_are_toolkit_errors(call, error):
     with pytest.raises(error):

@@ -1,6 +1,8 @@
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fishid.errors import (
     EmptyManifest,
@@ -18,6 +20,92 @@ from fishid.imageio import (
     load_manifest,
     to_indexed,
     write_manifest,
+)
+
+
+def reference_decode_ppm(data: bytes) -> RgbImage:
+    """Reference PPM decoder that tokenizes the header one byte at a time."""
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        # skip whitespace and '#' comments
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        tok = bytearray()
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            tok += data[pos : pos + 1]
+            pos += 1
+        if not tok:
+            raise UnsupportedFormat("PPM header ended early")
+        if not tok.isdigit():
+            raise UnsupportedFormat(f"bad PPM header token {bytes(tok)!r}")
+        try:
+            fields.append(int(tok))
+        except ValueError:  # more digits than Python parses
+            raise UnsupportedFormat(f"PPM header number of {len(tok)} digits") from None
+    width, height, maxval = fields
+    if width <= 0 or height <= 0:
+        raise UnsupportedFormat("zero or negative PPM dimension")
+    if maxval != 255:
+        raise UnsupportedFormat(f"unsupported PPM maxval {maxval}")
+    if pos >= len(data) or not data[pos : pos + 1].isspace():
+        raise UnsupportedFormat("missing whitespace after PPM maxval")
+    pos += 1  # exactly one whitespace byte before the payload
+    need = width * height * 3
+    payload = data[pos : pos + need]
+    if len(payload) < need:
+        raise TruncatedData(f"PPM payload {len(payload)} bytes, need {need}")
+    px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    return RgbImage(px.copy())
+
+
+def decode_outcome(decode, data):
+    """The decoded shape and bytes, or the class of the exception raised."""
+    try:
+        img = decode(data)
+    except Exception as exc:
+        return type(exc)
+    return img.pixels.shape, img.pixels.tobytes()
+
+
+# every byte bytes.isspace accepts, and bytes that str.isspace accepts but
+# bytes.isspace does not
+WHITESPACE = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]
+NOT_WHITESPACE = [b"\x1c", b"\x85", b"\xa0"]
+DIGITS = st.sampled_from([b"1", b"2", b"3", b"4", b"01", b"0002"])  # with leading zeros
+ODD_TOKENS = st.sampled_from([
+    b"0", b"00", b"256",  # zero, a bad maxval
+    *(c.encode() for c in ("\u00b2", "\u0663", "\uff11", "2\u0663")),  # non-ASCII digits
+    b"1#", b"2#5", b"#", b"-1",  # '#' inside a token, a sign
+])
+COMMENT_BODIES = st.lists(st.sampled_from([b" ", b"#", b"1", b"a", b"\r", b"\x0c"]), max_size=4)
+LINE_COMMENTS = COMMENT_BODIES.map(lambda body: b"#" + b"".join(body) + b"\n")
+OPEN_COMMENTS = COMMENT_BODIES.map(lambda body: b"#" + b"".join(body))  # no final newline
+
+
+def ppm_headers(number, maxval, lead, separator, tail):
+    """``P6``, then width, height and maxval, each after up to three
+    separators; ``lead`` is the byte that ends the width and the height."""
+    seps = st.lists(separator, max_size=3).map(b"".join)
+    gap = st.builds(bytes.__add__, lead, seps)
+    fields = st.tuples(seps, number, gap, number, gap, maxval, tail)
+    return fields.map(lambda parts: b"P6" + b"".join(parts))
+
+
+PPM_HEADERS = st.one_of(
+    # headers that decode when the payload is long enough
+    ppm_headers(DIGITS, st.sampled_from([b"255", b"0255"]), st.sampled_from(WHITESPACE),
+                st.sampled_from(WHITESPACE) | LINE_COMMENTS, st.sampled_from(WHITESPACE)),
+    # the same pieces mixed with odd tokens, bytes that are not whitespace,
+    # comments without a final newline, and a missing or extra byte before the payload
+    ppm_headers(DIGITS | ODD_TOKENS, DIGITS | ODD_TOKENS | st.just(b"255"),
+                st.sampled_from([b"", *WHITESPACE]),
+                st.sampled_from(WHITESPACE + NOT_WHITESPACE) | LINE_COMMENTS | OPEN_COMMENTS,
+                st.sampled_from([b"", *WHITESPACE, b"  ", b"\n\n", b" #c\n"])),
 )
 
 
@@ -52,6 +140,20 @@ class TestDecode:
     def test_header_number_past_int_digit_limit(self):
         with pytest.raises(UnsupportedFormat):
             decode_image(b"P6 " + b"9" * 5000 + b" 2 255\n" + bytes(12))
+
+    @settings(max_examples=1000)
+    @given(PPM_HEADERS, st.binary(min_size=40, max_size=60) | st.binary(max_size=60))
+    def test_ppm_header_matches_reference_tokenizer(self, header, payload):
+        data = header + payload
+        assert decode_outcome(decode_image, data) == decode_outcome(reference_decode_ppm, data)
+
+    @pytest.mark.parametrize("prefix", [b"P6", b"P6 1 ", b"P6 1 1 "])
+    def test_long_comment_runs_fail_fast(self, prefix):
+        data = prefix + b" #" * 50_000  # 100 KB of alternating ' #'
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedFormat):
+            decode_image(data)
+        assert time.perf_counter() - start < 0.1
 
     def test_unknown_magic(self):
         with pytest.raises(UnsupportedFormat):

@@ -256,6 +256,16 @@ class TestFilterAndUnify:
             self.test_matches_full_frame_path.hypothesis.inner_test(
                 self, h, w, seed, radius, tolerance, scene)
 
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_tolerance_past_float_square_flattens_everything(self, radius):
+        """A tolerance whose square overflows to inf holds every color, so
+        every pixel is flattened."""
+        px = np.zeros((6, 7, 3), dtype=np.uint8)
+        px[2:4, 2:5] = (255, 255, 255)
+        out, bg = filter_and_unify(RgbImage(px), radius, 1e200)
+        assert bg == (0, 0, 0)
+        assert not out.pixels.any()
+
     def test_synthetic_fish_matches_full_frame_path(self):
         img = synthgen.render_fish(synthgen.default_families()[2], 3, synthgen.SynthConfig())
         expected, expected_bg = full_frame_filter_and_unify(img.pixels, 1, 25.0)
@@ -349,7 +359,5 @@ class TestNormalizeRotation:
         ys, xs = np.nonzero(fish)
         px[ys, xs, rng.choice(channels, ys.size)] = rng.integers(0, 255, ys.size)
         img = RgbImage(px)
-        fy, fx = preprocess._foreground_coords(img, background)
-        assert np.array_equal(fy, ys) and np.array_equal(fx, xs)
         out = normalize_rotation(img, background)
         assert out.pixels.tobytes() == full_frame_rotation(img, background).pixels.tobytes()

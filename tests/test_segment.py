@@ -214,12 +214,48 @@ class TestExtractMask:
         assert mask.area == 100
         assert not mask.bits[21, 21]
 
-    def test_size_tie_takes_first_row_major(self):
-        px = canvas(30, 20)
-        px[2:4, 2:4] = (255, 0, 0)
-        px[10:12, 10:12] = (255, 0, 0)
+    @pytest.mark.parametrize("layout", [
+        """
+        .......
+        .WW....
+        .WW....
+        .......
+        ....xx.
+        ....xx.
+        """,
+        """
+        W..............W
+        W.xxxxxxxxxxxx.W
+        W.xxxxxxxxxxxx.W
+        W..............W
+        WWWWWWWWWWWWWWWW
+        """,
+        """
+        ..WWWWWWWWWWW...
+        x.WWWWWWWWWWW..x
+        x..............x
+        x..............x
+        xxxxxxxxxxxxxxxx
+        """,
+        """
+        ....WW..
+        x...WW..
+        x.......
+        x.....xx
+        x.....xx
+        """,
+    ], ids=["two-squares", "U-then-bar", "bar-then-U", "three-ties"])
+    def test_size_tie_takes_first_row_major(self, layout):
+        """Components of one size: the one holding the first row-major
+        foreground pixel (W) wins over the others (x)."""
+        grid = np.array([list(row) for row in layout.split()])
+        fg = grid != "."
+        assert len({len(comp) for comp in bfs_components(fg)}) == 1
+        assert grid[fg][0] == "W"
+        px = canvas(grid.shape[1], grid.shape[0])
+        px[fg] = (255, 0, 0)
         mask = extract_mask(RgbImage(px), (0, 0, 255), 50.0)
-        assert mask.bits[2, 2] and not mask.bits[10, 10]
+        assert np.array_equal(mask.bits, grid == "W")
 
     def test_all_background(self):
         with pytest.raises(EmptyForeground):
