@@ -55,7 +55,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InconsistentInputs, IoFailure
 from .imageio import RgbImage
@@ -276,15 +275,37 @@ def _boundary_count(bits: np.ndarray) -> int:
 
 
 def _hull_area(pts: np.ndarray) -> float:
-    """Convex hull area of (n, 2) integer points: Qhull finds the vertices,
-    an exact integer shoelace sums them. Fewer than three points or a
-    collinear set have no 2-D hull; their area is 0."""
-    try:
-        hull = pts[ConvexHull(pts).vertices]
-    except QhullError:
-        return 0.0
-    x, y = hull[:, 0], hull[:, 1]
-    return abs(float(x @ np.roll(y, -1) - np.roll(x, -1) @ y)) / 2.0
+    """Convex hull area of (n, 2) integer points: Andrew's monotone chain
+    (1979) over each column's top and bottom point, then an exact integer
+    shoelace. Fewer than three points or a collinear set have no 2-D hull;
+    their area is 0."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    x, y = pts[order, 0], pts[order, 1]
+    # every other point of a column lies between its top and its bottom
+    top = np.flatnonzero(np.diff(x, prepend=x[0] - 1))
+    bottom = np.append(top[1:], x.size) - 1
+    hull = []
+    for cut in (top, bottom[::-1]):  # tops left to right, then bottoms back
+        cx, cy = x[cut], y[cut]
+        for _ in range(2):
+            # throw away (after Akl & Toussaint 1978) each point on or inside
+            # the chord of its chain neighbors: it lies in the hull of them
+            # and its column's other end
+            turn = (cx[1:-1] - cx[:-2]) * (cy[2:] - cy[:-2]) - (cy[1:-1] - cy[:-2]) * (cx[2:] - cx[:-2])
+            keep = np.ones(cx.size, dtype=bool)
+            keep[1:-1] = turn > 0
+            cx, cy = cx[keep], cy[keep]
+        chain = []
+        for p in zip(cx.tolist(), cy.tolist()):
+            while len(chain) > 1 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                <= (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ):
+                chain.pop()
+            chain.append(p)
+        hull += chain
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))
+    return abs(twice) / 2.0
 
 
 def write_features_csv(path, rows) -> None:

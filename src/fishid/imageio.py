@@ -100,10 +100,9 @@ def _decode_ppm(data: bytes) -> RgbImage:
     if maxval != 255:
         raise UnsupportedFormat(f"unsupported PPM maxval {maxval}")
     need = width * height * 3
-    payload = data[m.end() : m.end() + need]
-    if len(payload) < need:
-        raise TruncatedData(f"PPM payload {len(payload)} bytes, need {need}")
-    px = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+    if len(data) - m.end() < need:
+        raise TruncatedData(f"PPM payload {len(data) - m.end()} bytes, need {need}")
+    px = np.frombuffer(data, np.uint8, need, m.end()).reshape(height, width, 3)
     return RgbImage(px.copy())
 
 

@@ -123,14 +123,15 @@ def unify_background(img: RgbImage, cfg: PreprocessConfig):
 
 
 def central_moments(ys, xs):
-    """Centroid and central second moments of a pixel set.
+    """Centroid and central second moments of a pixel set, given in
+    coordinates local to its bounding box (each minimum is 0), which keeps
+    the result exact under whole-pixel shifts.
 
-    Returns ``(cx, cy, s20, s02, s11)``: the centroid in coordinates local to
-    the set's bounding box (exact under whole-pixel shifts) and the
-    unnormalized sums of ``dx*dx``, ``dy*dy`` and ``dx*dy`` about it.
+    Returns ``(cx, cy, s20, s02, s11)``: the centroid in those coordinates
+    and the unnormalized sums of ``dx*dx``, ``dy*dy`` and ``dx*dy`` about it.
     """
-    lx = (xs - xs.min()).astype(np.float64)
-    ly = (ys - ys.min()).astype(np.float64)
+    lx = xs.astype(np.float64)
+    ly = ys.astype(np.float64)
     cx = lx.sum() / lx.size
     cy = ly.sum() / ly.size
     lx -= cx

@@ -3,8 +3,8 @@
 Conventions: connected components use 4-connectivity, contour steps use
 8-connectivity. Tie-breaks always favor the smallest row-major pixel index so
 repeated runs are byte-for-byte reproducible; for the mask's size ties that
-rule follows from ``ndimage.label`` numbering components in row-major order
-of their first pixels.
+rule holds by construction, since :func:`_label_runs` roots each component at
+its first row-major run.
 """
 
 from __future__ import annotations
@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyForeground, InvalidConfig
 from .imageio import RgbImage, differs_window, sq_distance
-
-_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 # Moore neighborhood in clockwise order (x right, y down):
 # W, NW, N, NE, E, SE, S, SW
@@ -100,21 +97,65 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
     fg = sq_distance(img.pixels[box], bg) > fg_tolerance * fg_tolerance
     # label only that window; row-major order in it is full-frame row-major
     # order, so size ties break the same
-    labels, count = ndimage.label(fg, structure=_FOUR)
-    if count == 0:
+    starts, ends, root = _label_runs(fg, fg[:, 1:] & fg[:, :-1], fg[1:] & fg[:-1])
+    if starts.size == 0:
         raise EmptyForeground("no pixel exceeds the foreground tolerance")
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
-    # labels count up in row-major order of their first pixels, so the first
-    # largest label holds the first row-major pixel of any largest component
+    sizes = np.bincount(root, ends - starts + 1)
+    # a root is its component's first row-major run, so the first largest
+    # root holds the first row-major pixel of any largest component
     winner = int(np.argmax(sizes))
-    comp = labels == winner
-    ys, xs = np.flatnonzero(comp.any(axis=1)), np.flatnonzero(comp.any(axis=0))
+    mine = root == winner
+    s, e = starts[mine], ends[mine]
     bits = np.zeros(img.pixels.shape[:2], dtype=bool)
-    bits[box] = comp
-    bbox = (box[1].start + int(xs[0]), box[0].start + int(ys[0]),
-            int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1)
+    if mine.all():  # one component: the window's whole foreground
+        bits[box] = fg
+    else:  # the winner's runs as a running sum: +1 at a start, -1 past an end
+        marks = np.zeros(fg.size + 1, dtype=np.int8)
+        marks[s] = 1
+        marks[e + 1] -= 1
+        bits[box] = np.cumsum(marks[:-1], dtype=np.int8).view(bool).reshape(fg.shape)
+    w = fg.shape[1]
+    x0, y0 = int((s % w).min()), int(s[0] // w)
+    bbox = (box[1].start + x0, box[0].start + y0,
+            int((e % w).max()) - x0 + 1, int(e[-1] // w) - y0 + 1)
     return FishMask(bits, int(sizes[winner]), bbox)
+
+
+def _label_runs(node, right, down):
+    """4-connected components of a pixel graph, labeled by runs (He, Chao &
+    Suzuki, IEEE TIP 2008). ``node`` (h, w) marks the graph's pixels;
+    ``right`` (h, w-1) links a pixel to its right neighbor and ``down``
+    (h-1, w) to the one below, between nodes only. A run is a maximal row
+    segment joined by right links, numbered in row-major order.
+
+    Returns ``(starts, ends, root)``: each run's first and last flat pixel
+    index, and the smallest run number in its component, so a component's
+    root is its first row-major run."""
+    w = node.shape[1]
+    start, end = node.copy(), node.copy()
+    start[:, 1:] &= ~right
+    end[:, :-1] &= ~right
+    starts, ends = np.flatnonzero(start), np.flatnonzero(end)
+    # a down link whose left neighbor links the same two runs adds nothing
+    link = down.copy()
+    link[:, 1:] &= ~(down[:, :-1] & right[:-1] & right[1:])
+    link = np.flatnonzero(link)
+    # a pixel's run number is the count of run starts up to it, less one
+    upper = np.searchsorted(starts, link, "right") - 1
+    lower = np.searchsorted(starts, link + w, "right") - 1
+    parent = list(range(starts.size))
+    for a, b in zip(upper.tolist(), lower.tolist()):
+        while a != parent[a]:  # path halving: link a to its grandparent, go there
+            parent[a] = a = parent[parent[a]]
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a < b:  # the smaller root stays, so parent[i] <= i throughout
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for i, p in enumerate(parent):  # parent[p] is already p's root
+        parent[i] = parent[p]
+    return starts, ends, np.array(parent, dtype=np.intp)
 
 
 def trace_contour(mask: FishMask) -> Contour:
@@ -192,15 +233,10 @@ def group_by_color(mask: FishMask, img: RgbImage, eps: float) -> ColorGroups:
         raise InvalidConfig("eps must be >= 0")
     bits = mask.crop(mask.bits)
     px = mask.crop(img.pixels)
-    h, w = bits.shape
-    # pixel (i, j) sits at lattice cell (2i, 2j); the cell between two
-    # 4-neighbors is set when their colors are within eps. Odd-odd cells stay
-    # unset, so an edge cell touches only its two pixels, and the lattice's
-    # 4-connected components are the groups, one per label
-    lat = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    lat[::2, ::2] = bits
+    # 4-neighbors are linked when their colors are within eps; the groups are
+    # the components of that graph, one per root
     tol = eps * eps
-    lat[::2, 1::2] = (sq_distance(px[:, 1:], px[:, :-1]) <= tol) & bits[:, 1:] & bits[:, :-1]
-    lat[1::2, ::2] = (sq_distance(px[1:], px[:-1]) <= tol) & bits[1:] & bits[:-1]
-    _, count = ndimage.label(lat, structure=_FOUR)
-    return ColorGroups(int(count), mask.area)
+    right = (sq_distance(px[:, 1:], px[:, :-1]) <= tol) & bits[:, 1:] & bits[:, :-1]
+    down = (sq_distance(px[1:], px[:-1]) <= tol) & bits[1:] & bits[:-1]
+    _, _, root = _label_runs(bits, right, down)
+    return ColorGroups(int(np.count_nonzero(root == np.arange(root.size))), mask.area)

@@ -85,6 +85,26 @@ def test_classify_prints_label_and_scores(cli_model, cli_corpus, capsys):
     assert "scores:" in out
 
 
+def child_env():
+    """The environment for a ``python`` child that imports this checkout's fishid."""
+    path = [os.path.dirname(os.path.dirname(fishid.__file__)), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_classify_needs_only_numpy(cli_model, cli_corpus, capsys):
+    """With scipy unimportable, ``fishid.cli`` imports and classifies a
+    synthgen fish exactly as this process does."""
+    entry = next(e for e in load_manifest(cli_corpus) if e.split == "test")
+    argv = ["classify", "--model", os.fspath(cli_model),
+            "--image", os.path.join(os.path.dirname(cli_corpus), entry.path)]
+    assert main(argv) == 0
+    code = ("import sys; sys.modules['scipy'] = None; import fishid.cli; "
+            "sys.exit(fishid.cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+
 
 @pytest.mark.parametrize("command", ["evaluate", "classify"])
 def test_closed_stdout_is_a_quiet_exit(command, cli_model, cli_corpus):
@@ -94,12 +114,10 @@ def test_closed_stdout_is_a_quiet_exit(command, cli_model, cli_corpus):
     entry = next(e for e in load_manifest(cli_corpus) if e.split == "test")
     data = {"evaluate": ["--manifest", os.fspath(cli_corpus)],
             "classify": ["--image", os.path.join(os.path.dirname(cli_corpus), entry.path)]}
-    path = [os.path.dirname(os.path.dirname(fishid.__file__)), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "fishid.cli", command, "--model", os.fspath(cli_model),
          *data[command]],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     proc.stdout.close()
     err = proc.stderr.read().decode()

@@ -147,6 +147,23 @@ class TestHullArea:
         pts = np.array(points, dtype=np.int64)
         assert _hull_area(pts) == monotone_chain_area(points)
 
+    @pytest.mark.parametrize("points, area", [
+        ([(4, 7)], 0.0),
+        ([(0, 0), (9, 4)], 0.0),
+        ([(0, 0), (2, 1), (4, 2), (6, 3), (2, 1)], 0.0),
+        ([(5, 0), (5, 9), (5, 2), (5, 9)], 0.0),
+        ([(0, 6), (8, 6), (3, 6), (1, 6)], 0.0),
+        ([(0, 9), (1, 8), (2, 7), (3, 6)], 0.0),
+        ([(0, 0), (0, 3), (4, 0), (4, 3), (2, 1), (2, 2), (1, 0), (3, 3)], 12.0),
+        ([(0, 0), (2, 0), (1, 1)], 1.0),
+        ([(0, 5), (1, 0), (1, 9), (2, 5)], 9.0),
+    ], ids=["one-point", "two-points", "collinear", "single-column", "single-row",
+            "diagonal", "rectangle", "one-pixel-columns", "diamond"])
+    def test_known_areas(self, points, area):
+        """Sets with no 2-D hull, on which Qhull raised QhullError, have area
+        0; small hulls have their exact area."""
+        assert _hull_area(np.array(points, dtype=np.int64)) == area == monotone_chain_area(points)
+
 
 class TestDorsumVentralMeans:
     @settings(deadline=None, max_examples=300)

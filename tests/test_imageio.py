@@ -164,7 +164,7 @@ class TestDecode:
             decode_image(b"P6 1 1 65535 " + bytes(6))
 
     def test_truncated_ppm(self):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(TruncatedData, match="PPM payload 50 bytes, need 300"):
             decode_image(b"P6 10 10 255 " + bytes(50))
 
     def test_truncated_bmp(self):

@@ -39,7 +39,7 @@ def full_frame_rotation(img, background_color):
     ys, xs = np.nonzero(np.any(img.pixels != bg, axis=2))
     if ys.size == 0:
         raise EmptyForeground("image has no non-background pixels")
-    cx, cy, s20, s02, s11 = central_moments(ys, xs)
+    cx, cy, s20, s02, s11 = central_moments(ys - ys.min(), xs - xs.min())
     theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     if abs(theta) < math.radians(0.5):
         return img
@@ -283,7 +283,7 @@ class TestNormalizeRotation:
         img = rotated_ellipse(30)
         out = normalize_rotation(img, (255, 255, 255))
         ys, xs = np.nonzero(np.any(out.pixels != 255, axis=2))
-        _, _, s20, s02, s11 = central_moments(ys, xs)
+        _, _, s20, s02, s11 = central_moments(ys - ys.min(), xs - xs.min())
         residual = math.degrees(0.5 * math.atan2(2.0 * s11, s20 - s02))
         assert abs(residual) < 2.0
 

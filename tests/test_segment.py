@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +179,62 @@ def full_frame_mask(px, background, tol):
     return labels == labels.ravel()[first]
 
 
+def first_largest(bits):
+    """Flood-fill oracle for the mask: the largest component; among equal
+    sizes, the one holding the first row-major pixel (``bfs_components``
+    lists components in that order)."""
+    comps = bfs_components(bits)
+    best = max(comps, key=len)  # max keeps the first of equal keys
+    out = np.zeros_like(bits, dtype=bool)
+    xs, ys = zip(*best)
+    out[list(ys), list(xs)] = True
+    return out
+
+
+def lattice_group_count(mask, img, eps):
+    """The former ``group_by_color``: pixel (i, j) at lattice cell (2i, 2j),
+    the cell between two 4-neighbors set when their colors are within eps,
+    and ``ndimage.label`` counting the lattice's 4-connected components."""
+    bits = mask.crop(mask.bits)
+    px = mask.crop(img.pixels)
+    h, w = bits.shape
+    lat = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    lat[::2, ::2] = bits
+    tol = eps * eps
+    lat[::2, 1::2] = (sq_distance(px[:, 1:], px[:, :-1]) <= tol) & bits[:, 1:] & bits[:, :-1]
+    lat[1::2, ::2] = (sq_distance(px[1:], px[:-1]) <= tol) & bits[1:] & bits[:-1]
+    return ndimage.label(lat)[1]  # 4-connected
+
+
+@st.composite
+def random_masks(draw):
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((h, w)) < draw(st.floats(0.05, 0.95))
+
+
+@st.composite
+def tied_layouts(draw):
+    """2-4 copies of one random shape, each shifted at random inside its own
+    cell of a row of cells, below a row of single-pixel specks: size ties
+    whose first row-major pixel can fall in any copy, after smaller (or,
+    for a one-pixel shape, equal) components."""
+    sh, sw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = rng.random((sh, sw)) < 0.7
+    shape[rng.integers(sh), rng.integers(sw)] = True
+    shape = first_largest(shape)  # one component
+    copies = draw(st.integers(2, 4))
+    cell_h, cell_w = sh + draw(st.integers(0, 3)), sw + draw(st.integers(0, 3))
+    bits = np.zeros((cell_h + 2, copies * (cell_w + 1)), dtype=bool)
+    bits[0, ::2] = rng.random(bits[0, ::2].shape) < 0.3  # row 1 stays background
+    for k in range(copies):
+        y = 2 + rng.integers(cell_h - sh + 1)
+        x = k * (cell_w + 1) + rng.integers(cell_w - sw + 1)
+        bits[y : y + sh, x : x + sw] |= shape
+    return bits
+
+
 class TestSqDistance:
     @settings(max_examples=60)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -299,6 +356,37 @@ class TestExtractMask:
         assert mask.bbox == FishMask.from_bits(expected).bbox
         rescanned = FishMask.from_bits(mask.bits)  # the full-frame scan extract_mask skips
         assert (mask.area, mask.bbox) == (rescanned.area, rescanned.bbox)
+
+    @settings(deadline=None, max_examples=300)
+    @given(random_masks() | tied_layouts())
+    def test_matches_flood_fill(self, fg):
+        """Random masks and tied copies of one shape: bits, area and bbox of
+        the first largest flood-fill component."""
+        px = canvas(fg.shape[1], fg.shape[0])
+        px[fg] = (255, 0, 0)
+        if not fg.any():
+            with pytest.raises(EmptyForeground):
+                extract_mask(RgbImage(px), (0, 0, 255), 50.0)
+            return
+        expected = first_largest(fg)
+        mask = extract_mask(RgbImage(px), (0, 0, 255), 50.0)
+        assert np.array_equal(mask.bits, expected)
+        assert mask.area == int(expected.sum())
+        assert mask.bbox == FishMask.from_bits(expected).bbox
+
+    def test_binary_noise_frame_is_fast(self):
+        """The run graph's worst case: a 1600x820 frame of binary noise, about
+        650k runs for the color groups of the whole frame."""
+        rng = np.random.default_rng(0)
+        px = canvas(1600, 820)
+        px[rng.random((820, 1600)) < 0.5] = (255, 0, 0)
+        img = RgbImage(px)
+        whole = FishMask(np.ones((820, 1600), dtype=bool), 820 * 1600, (0, 0, 1600, 820))
+        start = time.perf_counter()
+        extract_mask(img, (0, 0, 255), 50.0)
+        groups = group_by_color(whole, img, 10.0)
+        assert time.perf_counter() - start < 2.0
+        assert groups.group_count == lattice_group_count(whole, img, 10.0)
 
     @pytest.mark.parametrize("y, x", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
     def test_single_pixel_in_a_corner(self, y, x):
@@ -500,3 +588,22 @@ class TestGroupByColor:
         groups = group_by_color(mask, RgbImage(px), eps)
         assert groups.pixel_count == mask.area
         assert groups.group_count == len(color_flood_fill(bits, px, eps))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 16),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 1.0),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 60.0, 120.0]) | st.floats(0.0, 450.0),
+    )
+    def test_group_count_matches_lattice_labeling(self, h, w, seed, density, colors, eps):
+        rng = np.random.default_rng(seed)
+        bits = rng.random((h, w)) < density
+        if not bits.any():
+            bits[h // 2, w // 2] = True
+        palette = (rng.integers(0, 4, (colors, 3)) * 60).astype(np.uint8)
+        img = RgbImage(palette[rng.integers(0, colors, bits.shape)])
+        mask = FishMask.from_bits(bits)
+        assert group_by_color(mask, img, eps).group_count == lattice_group_count(mask, img, eps)
