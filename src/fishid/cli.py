@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -17,6 +18,7 @@ import warnings
 from . import pipeline, synthgen
 from .errors import IoFailure, ToolkitError
 from .features import write_features_csv
+from .imageio import read_file
 from .pipeline import (
     evaluate,
     extract_manifest_features,
@@ -91,18 +93,16 @@ _WRITES = {"extract": "out", "train": "out", "evaluate": "report"}
 
 def _read_config(path):
     values = {}
+    text = io.TextIOWrapper(io.BytesIO(read_file(path, "config")), encoding="utf-8")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ToolkitError(f"{path}:{ln}: expected key=value, got {line!r}")
-                values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise IoFailure(f"reading config {path}: {exc}") from exc
+        for ln, raw in enumerate(text, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ToolkitError(f"{path}:{ln}: expected key=value, got {line!r}")
+            values[key.strip().replace("-", "_")] = value.strip()
     except UnicodeDecodeError as exc:
         raise ToolkitError(f"config {path} is not UTF-8: {exc}") from exc
     return values

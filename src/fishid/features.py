@@ -52,6 +52,7 @@ whole pixels leaves the vector bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -117,7 +118,7 @@ def extract_features(
     groups: ColorGroups,
 ) -> np.ndarray:
     """Compute the 47-value descriptor of a left-facing fish; ``idx`` is a
-    full-frame array that holds ``to_indexed(img)`` inside ``mask.bbox`` (it
+    full-frame array that holds ``to_indexed(img)`` at the mask's pixels (it
     is read nowhere else). See the module docstring for layout."""
     if not img.pixels.shape[:2] == idx.shape == mask.bits.shape:
         raise InconsistentInputs("image, index and mask dimensions differ")
@@ -130,8 +131,8 @@ def extract_features(
     P = contour.perimeter
 
     bits = mask.crop(mask.bits)
-    ly, lx = np.nonzero(bits)  # row-major, bbox-local
-    cxl, cyl, s20, s02, s11 = central_moments(ly, lx)
+    cxl, cyl, s20, s02, s11 = central_moments(*np.nonzero(bits))  # bbox-local
+    ib = mask.crop(idx)
     cpts = contour.points - np.array([x0, y0], dtype=np.int64)
 
     f = np.zeros(FEATURE_COUNT, dtype=np.float64)
@@ -150,13 +151,10 @@ def extract_features(
     radii = np.hypot(dxc, dyc)
     rmax = float(radii.max()) if radii.size else 0.0
     if rmax > 0:
-        ang = np.arctan2(dyc, dxc)
-        ang = np.mod(ang + 2.0 * math.pi, 2.0 * math.pi)
+        ang = np.mod(np.arctan2(dyc, dxc) + 2.0 * math.pi, 2.0 * math.pi)
         sector = np.minimum((ang // (math.pi / 4.0)).astype(np.int64), 7)
-        for s in range(8):
-            sel = sector == s
-            if sel.any():
-                f[6 + s] = float(radii[sel].max()) / rmax
+        np.maximum.at(f[6:14], sector, radii)  # an empty sector stays 0
+        f[6:14] /= rmax
 
     # solidity and extent
     hull_area = _hull_area(cpts)
@@ -174,25 +172,25 @@ def extract_features(
     f[23] = (theta + math.pi / 2.0) / math.pi
 
     rear_cols = max(1, (2 * w + 5) // 10)  # round(w / 5)
-    f[17] = float(np.count_nonzero(lx >= w - rear_cols)) / (rear_cols * h)
+    f[17] = float(np.count_nonzero(bits[:, w - rear_cols :])) / (rear_cols * h)
 
     f[18] = _boundary_count(bits) / A
 
-    # per-quadrant intensity spread
-    iv = mask.crop(idx)[bits].astype(np.float64)  # row-major, like ly, lx
-    top = ly < h / 2.0
-    left_half = lx < w / 2.0
-    for qi, sel in enumerate(
-        (top & left_half, top & ~left_half, ~top & left_half, ~top & ~left_half)
-    ):
-        if sel.any():
-            f[19 + qi] = min(1.0, float(iv[sel].std()) / 128.0)
+    # per-quadrant intensity spread; row y is in the top half exactly when
+    # y < h / 2, column x in the left half exactly when x < w / 2
+    r, c = (h + 1) // 2, (w + 1) // 2
+    quads = itertools.product((slice(r), slice(r, h)), (slice(c), slice(c, w)))
+    for qi, quad in enumerate(quads):  # TL, TR, BL, BR
+        q = ib[quad][bits[quad]]
+        if q.size:
+            f[19 + qi] = min(1.0, float(q.std()) / 128.0)
 
     # color signature
     dmean, vmean = _dorsum_ventral_means(mask.crop(img.pixels), bits, cyl)
     f[24:27] = dmean
     f[27:30] = vmean
     f[30:33] = (dmean - vmean + 1.0) / 2.0
+    iv = ib[bits]
     f[33] = float(iv.sum() / A) / 255.0
     f[34] = min(1.0, float(iv.std()) / 128.0)
     f[35] = min(groups.group_count, 32) / 32.0
@@ -210,15 +208,15 @@ def extract_features(
 
     head_cols = max(1, (w + 2) // 4)  # round(w / 4)
     # the bbox's first column holds foreground, so both head bands are non-empty
-    head_sel = lx < head_cols
-    n_dark = max(1, int(np.count_nonzero(head_sel)) // 10)
-    order = np.argsort(iv[head_sel], kind="stable")[:n_dark]
-    f[43] = float(lx[head_sel][order].sum() / n_dark) / w
-    f[44] = float(ly[head_sel][order].sum() / n_dark) / h
+    hy, hx = np.nonzero(bits[:, :head_cols])
+    n_dark = max(1, hy.size // 10)
+    order = np.argsort(ib[hy, hx], kind="stable")[:n_dark]
+    f[43] = float(hx[order].sum() / n_dark) / w
+    f[44] = float(hy[order].sum() / n_dark) / h
 
     mouth_cols = max(1, (w + 10) // 20)  # round(w / 20)
-    my = ly[lx < mouth_cols]
-    f[45] = float(my.max() - my.min() + 1) / h
+    my = np.flatnonzero(bits[:, :mouth_cols].any(axis=1))
+    f[45] = float(my[-1] - my[0] + 1) / h
 
     v1 = np.array(tri.p_xmin, dtype=np.float64) - tri.p_ymin
     v2 = np.array(tri.p_xmax, dtype=np.float64) - tri.p_ymin
@@ -267,11 +265,8 @@ def _dorsum_ventral_means(px: np.ndarray, bits: np.ndarray, cy: float):
 def _boundary_count(bits: np.ndarray) -> int:
     """Pixels with a false 4-neighbor or on the raster edge; on the bbox crop
     the count equals the full frame's, whose mask ends at the bbox."""
-    inner = np.zeros_like(bits)
-    inner[1:-1, 1:-1] = (
-        bits[:-2, 1:-1] & bits[2:, 1:-1] & bits[1:-1, :-2] & bits[1:-1, 2:]
-    )
-    return int(np.count_nonzero(bits & ~inner))
+    inner = bits[1:-1, 1:-1] & bits[:-2, 1:-1] & bits[2:, 1:-1] & bits[1:-1, :-2] & bits[1:-1, 2:]
+    return int(np.count_nonzero(bits)) - int(np.count_nonzero(inner))
 
 
 def _hull_area(pts: np.ndarray) -> float:

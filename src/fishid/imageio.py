@@ -18,7 +18,10 @@ must not contain commas).
 from __future__ import annotations
 
 from dataclasses import dataclass
+import io
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -76,6 +79,24 @@ class ManifestEntry:
     poison: bool
     cluster: str
     split: str  # "train" or "test"
+
+
+def read_file(path, what) -> bytes:
+    """The bytes of a regular file or a pipe; ``what`` names it in errors. The
+    open never waits: a FIFO with no writer reads as empty. An empty pipe, a
+    directory, a device (``/dev/zero`` never ends) or a socket is an IoFailure."""
+    try:
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        with open(fd, "rb") as fh:
+            mode = os.fstat(fd).st_mode
+            if stat.S_ISFIFO(mode):
+                os.set_blocking(fd, True)  # a pipe with a writer is read to its end
+            data = fh.read() if stat.S_ISREG(mode) or stat.S_ISFIFO(mode) else b""
+    except OSError as exc:
+        raise IoFailure(f"reading {what} {path}: {exc}") from exc
+    if not (data or stat.S_ISREG(mode)):
+        raise IoFailure(f"reading {what} {path}: not a regular file or a pipe that gives bytes")
+    return data
 
 
 def decode_image(data: bytes) -> RgbImage:
@@ -185,11 +206,8 @@ def differs_window(pixels: np.ndarray, color):
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a dataset manifest, validating rows and the label hierarchy."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"reading manifest {path}: {exc}") from exc
+    try:  # UTF-8 with universal newlines, as open(path) reads it
+        text = io.TextIOWrapper(io.BytesIO(read_file(path, "manifest")), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"manifest {path} is not UTF-8: {exc}") from exc
     lines = text.split("\n")

@@ -27,7 +27,7 @@ from .errors import (
     VersionMismatch,
 )
 from .features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, extract_features, find_head_side
-from .imageio import RgbImage, decode_image, load_manifest, to_indexed
+from .imageio import RgbImage, decode_image, load_manifest, read_file, to_indexed
 from .mlp import MlpModel, TrainConfig
 from .preprocess import PreprocessConfig, filter_and_unify, normalize_rotation
 from .segment import FishMask, extract_mask, group_by_color, trace_contour
@@ -134,12 +134,7 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
 
 
 def _read_image(path) -> RgbImage:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"reading {path}: {exc}", stage="read") from exc
-    return _staged("decode", decode_image, data)
+    return _staged("decode", decode_image, _staged("read", read_file, path, "image"))
 
 
 def _classify(bundle: TrainedBundle, features):
@@ -346,13 +341,8 @@ def load_bundle(path) -> TrainedBundle:
     ``segment`` sections are a checked echo of the pipeline's constants.
     """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"reading model from {path}: {exc}") from exc
-    try:
         # ValueError covers bad UTF-8 and integers past Python's digit limit
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(read_file(path, "model").decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         raise CorruptModel(f"model file is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -106,14 +106,10 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
     winner = int(np.argmax(sizes))
     mine = root == winner
     s, e = starts[mine], ends[mine]
+    # the foreground pixels in row-major order are the runs' pixels, run by run
+    fg[fg] = np.repeat(mine, ends - starts + 1)
     bits = np.zeros(img.pixels.shape[:2], dtype=bool)
-    if mine.all():  # one component: the window's whole foreground
-        bits[box] = fg
-    else:  # the winner's runs as a running sum: +1 at a start, -1 past an end
-        marks = np.zeros(fg.size + 1, dtype=np.int8)
-        marks[s] = 1
-        marks[e + 1] -= 1
-        bits[box] = np.cumsum(marks[:-1], dtype=np.int8).view(bool).reshape(fg.shape)
+    bits[box] = fg
     w = fg.shape[1]
     x0, y0 = int((s % w).min()), int(s[0] // w)
     bbox = (box[1].start + x0, box[0].start + y0,

@@ -43,7 +43,7 @@ class FamilySpec:
 class SynthConfig:
     width: int = 320
     height: int = 240
-    background: tuple[int, int, int] = (210, 232, 248)
+    background: tuple[int, int, int] = field(default=(210, 232, 248), init=False)
     seed: int = 0
     # per-family overrides of FamilySpec.counts
     train_counts: dict = field(default_factory=dict)

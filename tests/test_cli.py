@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 import fishid
 from fishid import pipeline
 from fishid.cli import main
+from fishid.errors import IoFailure
 from fishid.imageio import load_manifest
 from fishid.pipeline import save_bundle, train_bundle
 
@@ -104,6 +106,55 @@ def test_classify_needs_only_numpy(cli_model, cli_corpus, capsys):
                           text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == capsys.readouterr().out
+
+
+# the four inputs read from a path, as (module, reader)
+READERS = {
+    "image": ("fishid.pipeline", "_read_image"),
+    "model": ("fishid.pipeline", "load_bundle"),
+    "manifest": ("fishid.imageio", "load_manifest"),
+    "config": ("fishid.cli", "_read_config"),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("what", READERS)
+def test_fifo_with_no_writer_is_an_error(what, tmp_path):
+    """A blocking open of a FIFO with no writer waits forever, so the reader
+    runs in a child with a time limit."""
+    fifo = tmp_path / "in"
+    os.mkfifo(fifo)
+    module, reader = READERS[what]
+    code = (f"import sys; from fishid.errors import ToolkitError; from {module} import {reader}\n"
+            f"try:\n    {reader}(sys.argv[1])\nexcept ToolkitError as exc:\n    print(exc)")
+    proc = subprocess.run([sys.executable, "-c", code, os.fspath(fifo)], capture_output=True,
+                          text=True, env=child_env(), timeout=20)
+    assert proc.returncode == 0 and proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("what", READERS)
+@pytest.mark.parametrize("target", ["devnull", "directory"])
+def test_device_or_directory_is_io_failure(what, target, tmp_path):
+    module, reader = READERS[what]
+    read = getattr(importlib.import_module(module), reader)
+    with pytest.raises(IoFailure):
+        read(os.devnull if target == "devnull" else tmp_path)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /dev/stdin")
+def test_classify_reads_an_image_from_a_pipe(cli_model, cli_corpus, capsys):
+    entry = next(e for e in load_manifest(cli_corpus) if e.split == "test")
+    image = os.path.join(os.path.dirname(cli_corpus), entry.path)
+    assert main(["classify", "--model", os.fspath(cli_model), "--image", image]) == 0
+    with open(image, "rb") as fh:
+        data = fh.read()
+    proc = subprocess.run(
+        [sys.executable, "-m", "fishid.cli", "classify", "--model", os.fspath(cli_model),
+         "--image", "/dev/stdin"],
+        input=data, capture_output=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["evaluate", "classify"])

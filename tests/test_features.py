@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from fishid.features import (
 )
 from fishid.imageio import RgbImage, to_indexed
 from fishid.pipeline import PipelineConfig, analyze_image
-from fishid.segment import FishMask, extract_mask, group_by_color, trace_contour
+from fishid.preprocess import central_moments
+from fishid.segment import ColorGroups, FishMask, extract_mask, group_by_color, trace_contour
 
 
 def shape_inputs(px, bg=(0, 0, 255), tol=50.0, eps=30.0):
@@ -186,6 +188,105 @@ class TestDorsumVentralMeans:
         ]
         got = _dorsum_ventral_means(px, bits, cy)
         assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
+
+
+def gathered_region_features(bits, ib, cpts):
+    """Reference for f6-13, f17-22, f33-34 and f43-45: the former formulas,
+    which gather over every foreground coordinate, take float64 index
+    values, mask each sector, quadrant and band, and count the boundary
+    through a crop-sized interior mask. Inputs: a bbox crop ``bits``, its
+    index values ``ib`` and bbox-local contour points."""
+    h, w = bits.shape
+    f = np.zeros(FEATURE_COUNT, dtype=np.float64)
+    ly, lx = np.nonzero(bits)  # row-major, bbox-local
+    cxl, cyl, _, _, _ = central_moments(ly, lx)
+
+    dxc = cpts[:, 0] - cxl
+    dyc = cpts[:, 1] - cyl
+    radii = np.hypot(dxc, dyc)
+    rmax = float(radii.max()) if radii.size else 0.0
+    if rmax > 0:
+        ang = np.arctan2(dyc, dxc)
+        ang = np.mod(ang + 2.0 * math.pi, 2.0 * math.pi)
+        sector = np.minimum((ang // (math.pi / 4.0)).astype(np.int64), 7)
+        for s in range(8):
+            sel = sector == s
+            if sel.any():
+                f[6 + s] = float(radii[sel].max()) / rmax
+
+    rear_cols = max(1, (2 * w + 5) // 10)  # round(w / 5)
+    f[17] = float(np.count_nonzero(lx >= w - rear_cols)) / (rear_cols * h)
+
+    inner = np.zeros_like(bits)
+    inner[1:-1, 1:-1] = (
+        bits[:-2, 1:-1] & bits[2:, 1:-1] & bits[1:-1, :-2] & bits[1:-1, 2:]
+    )
+    f[18] = int(np.count_nonzero(bits & ~inner)) / ly.size
+
+    iv = ib[bits].astype(np.float64)  # row-major, like ly, lx
+    top = ly < h / 2.0
+    left_half = lx < w / 2.0
+    for qi, sel in enumerate(
+        (top & left_half, top & ~left_half, ~top & left_half, ~top & ~left_half)
+    ):
+        if sel.any():
+            f[19 + qi] = min(1.0, float(iv[sel].std()) / 128.0)
+    f[33] = float(iv.sum() / ly.size) / 255.0
+    f[34] = min(1.0, float(iv.std()) / 128.0)
+
+    head_cols = max(1, (w + 2) // 4)  # round(w / 4)
+    head_sel = lx < head_cols
+    n_dark = max(1, int(np.count_nonzero(head_sel)) // 10)
+    order = np.argsort(iv[head_sel], kind="stable")[:n_dark]
+    f[43] = float(lx[head_sel][order].sum() / n_dark) / w
+    f[44] = float(ly[head_sel][order].sum() / n_dark) / h
+
+    mouth_cols = max(1, (w + 10) // 20)  # round(w / 20)
+    my = ly[lx < mouth_cols]
+    f[45] = float(my.max() - my.min() + 1) / h
+    return np.clip(f, 0.0, 1.0)
+
+
+REGION_FEATURES = [*range(6, 14), *range(17, 23), 33, 34, 43, 44, 45]
+
+
+@st.composite
+def region_inputs(draw):
+    """A random mask in a frame with a margin, of 1 row, 1 column or up to
+    48x48, often in several blobs; index values of 256 or of 2-4 levels, so
+    that the darkest head pixels tie."""
+    h = draw(st.sampled_from([1, draw(st.integers(1, 48))]))
+    w = draw(st.sampled_from([1, draw(st.integers(1, 48))]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    bits = rng.random((h, w)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    bits[0, 0] |= not bits.any()
+    top, left, bottom, right = (draw(st.integers(0, 3)) for _ in range(4))
+    frame = np.zeros((top + h + bottom, left + w + right), bool)
+    frame[top : top + h, left : left + w] = bits
+    levels = draw(st.sampled_from([2, 3, 4, 256]))
+    idx = (rng.integers(0, levels, frame.shape) * (255 // (levels - 1))).astype(np.uint8)
+    return frame, idx
+
+
+class TestRegionFeatures:
+    @settings(deadline=None, max_examples=400)
+    @example((np.ones((1, 7), bool), np.arange(7, dtype=np.uint8).reshape(1, 7)))
+    @example((np.ones((5, 1), bool), np.zeros((5, 1), np.uint8)))
+    @given(region_inputs())
+    def test_bbox_slices_match_gathers(self, inputs):
+        """The bands, quadrants, sectors, boundary count and intensity
+        statistics read from bbox slices and uint8 values give the bytes of
+        the per-pixel gathers, float64 copies and masks they replace."""
+        frame, idx = inputs
+        mask = FishMask.from_bits(frame)
+        contour = trace_contour(mask)
+        img = RgbImage(np.zeros((*frame.shape, 3), dtype=np.uint8))
+        got = extract_features(img, idx, mask, contour, ColorGroups(1, mask.area))
+        x0, y0, _, _ = mask.bbox
+        cpts = contour.points - np.array([x0, y0], dtype=np.int64)
+        expected = gathered_region_features(mask.crop(frame), mask.crop(idx), cpts)
+        assert got[REGION_FEATURES].tobytes() == expected[REGION_FEATURES].tobytes()
 
 
 class TestHeadSide:
