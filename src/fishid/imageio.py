@@ -121,6 +121,8 @@ def write_file(path, data: bytes, what) -> None:
             with open(os.open(path, os.O_WRONLY | getattr(os, "O_NONBLOCK", 0)), "wb") as fh:
                 os.set_blocking(fh.fileno(), True)  # a reader that is there takes every byte
                 fh.write(data)
+    except BrokenPipeError:
+        raise  # the reader left early: cli.main exits quietly, as for a closed stdout
     except (OSError, ValueError) as exc:
         if tmp:
             with contextlib.suppress(OSError):  # never created, or not a file

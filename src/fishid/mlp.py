@@ -98,23 +98,20 @@ def init(layer_sizes, cfg: TrainConfig) -> MlpModel:
     return MlpModel(sizes, weights, momentum)
 
 
-def _forward(model: MlpModel, xb: np.ndarray, hb: np.ndarray) -> np.ndarray:
-    """Output for the bias-augmented input ``xb``; leaves the hidden layer
-    in ``hb[:-1]`` (``hb[-1]`` is the hidden bias input, 1.0)."""
+def _forward(w0, w1, xb: np.ndarray, hb: np.ndarray, out=None) -> np.ndarray:
+    """Output for the bias-augmented input ``xb``, into ``out`` if given;
+    leaves the hidden layer in ``hb[:-1]`` (``hb[-1]`` is the hidden bias input, 1.0)."""
     # ndarray.dot takes the same BLAS call as @ with less per-call overhead
-    model.weights[0].dot(xb, out=hb[:-1])
-    _sigmoid(hb[:-1])
-    return _sigmoid(model.weights[1].dot(hb))
+    _sigmoid(w0.dot(xb, out=hb[:-1]))
+    return _sigmoid(w1.dot(hb, out=out))
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.layer_sizes[0],):
-        raise DimensionMismatch(
-            f"input length {x.shape} does not match {model.layer_sizes[0]} inputs"
-        )
+        raise DimensionMismatch(f"input shape {x.shape} vs {model.layer_sizes[0]} inputs")
     with np.errstate(over="ignore"):
-        return _forward(model, np.append(x, 1.0), np.ones(model.layer_sizes[1] + 1))
+        return _forward(*model.weights, np.append(x, 1.0), np.ones(model.layer_sizes[1] + 1))
 
 
 def sample_error(target, output) -> float:
@@ -122,76 +119,80 @@ def sample_error(target, output) -> float:
     y = np.asarray(output, dtype=np.float64)
     if d.shape != y.shape:
         raise DimensionMismatch(f"target {d.shape} vs output {y.shape}")
-    return _error(d, y)
-
-
-def _error(d: np.ndarray, y: np.ndarray) -> float:
     r = d - y
     return 0.5 * float(r.dot(r))
 
 
-class _Buffers:
-    """Storage each gradient evaluation overwrites: the bias-augmented
-    hidden layer and the gradient ``[g1, g2]``. ``back`` views the output
-    weights without their bias column, transposed; it stays current because
-    every update writes the weights in place."""
+class _Net:
+    """The one training step: weights, momentum, gradient and step are one flat
+    float64 buffer each, with per-layer views, and every temporary is preallocated.
+    It works on a copy of the model's arrays; :meth:`store` writes them back."""
 
     def __init__(self, model: MlpModel):
-        n_hidden = model.layer_sizes[1]
-        self.hidden = np.ones(n_hidden + 1)
-        self.grads = [np.empty_like(w) for w in model.weights]
-        self.back = model.weights[1][:, :n_hidden].T
+        n_hidden, n_out = model.layer_sizes[1:]
+        split, (s0, s1) = model.weights[0].size, [w.shape for w in model.weights]
+        self.w, self.m = (np.concatenate([a.ravel() for a in arrays])
+                          for arrays in (model.weights, model.momentum))
+        self.g, self.step = np.empty_like(self.w), np.empty_like(self.w)
+        (self.w0, self.w1), (self.m0, self.m1), (self.g0, self.g1) = (
+            (a[:split].reshape(s0), a[split:].reshape(s1)) for a in (self.w, self.m, self.g))
+        self.back = self.w1[:, :n_hidden].T  # a view: the in-place updates keep it current
+        self.hb, (self.d_hid, self.t_hid) = np.ones(n_hidden + 1), np.empty((2, n_hidden))
+        self.out, self.r, self.d_out = np.empty((3, n_out))
 
+    def gradient(self, xb: np.ndarray, d: np.ndarray) -> float:
+        """Fill ``g`` with the gradient at the bias-augmented input ``xb``
+        and target ``d``; return the error, measured before any update."""
+        out, r, d_out, d_hid, hidden = self.out, self.r, self.d_out, self.d_hid, self.hb[:-1]
+        _forward(self.w0, self.w1, xb, self.hb, out)
+        np.subtract(out, d, out=r)
+        err = 0.5 * float(r.dot(r))  # negation is exact: the bytes of (d - out).(d - out)
+        np.multiply(r, out, out=d_out)
+        d_out *= np.subtract(1.0, out, out=r)  # r is spent
+        # @, not .dot, on the transposed view: .dot takes another BLAS kernel
+        # there, and the last bits of the weights would change
+        np.matmul(self.back, d_out, out=d_hid)
+        d_hid *= hidden
+        d_hid *= np.subtract(1.0, hidden, out=self.t_hid)
+        # np.outer's own broadcast product, written into the buffers
+        np.multiply(d_out[:, None], self.hb, out=self.g1)
+        np.multiply(d_hid[:, None], xb, out=self.g0)
+        return err
 
-def _gradient(model: MlpModel, xb: np.ndarray, d: np.ndarray, buf: _Buffers) -> np.ndarray:
-    """Output at the bias-augmented input ``xb``; fills ``buf.grads`` with
-    the gradient of the error against target ``d``."""
-    out = _forward(model, xb, buf.hidden)
-    hidden = buf.hidden[:-1]
-    delta_out = (out - d) * out * (1.0 - out)
-    delta_hidden = (buf.back @ delta_out) * hidden * (1.0 - hidden)
-    # np.outer's own broadcast product, written into the buffers
-    np.multiply(delta_out[:, np.newaxis], buf.hidden, out=buf.grads[1])
-    np.multiply(delta_hidden[:, np.newaxis], xb, out=buf.grads[0])
-    return out
+    def momentum_step(self, cfg: TrainConfig) -> None:
+        """``m <- alpha * m + (-eta) * g`` and ``w <- w + m`` on the whole buffers;
+        addition commutes, so ``m`` gets the bytes of ``-eta * g + alpha * m``."""
+        np.multiply(self.g, -cfg.eta, out=self.step)
+        self.m *= cfg.alpha
+        self.m += self.step
+        self.w += self.m
 
-
-def _momentum_step(model: MlpModel, gradient, cfg: TrainConfig, steps) -> None:
-    """``m <- alpha * m + (-eta) * g`` and ``w <- w + m`` per layer, in place;
-    ``steps`` receives the ``(-eta) * g`` terms. Addition commutes, so ``m``
-    gets the bytes of ``-eta * g + alpha * m``."""
-    for w, m, g, step in zip(model.weights, model.momentum, gradient, steps):
-        np.multiply(g, -cfg.eta, out=step)
-        m *= cfg.alpha
-        m += step
-        w += m
+    def store(self, model: MlpModel) -> None:
+        for dst, src in zip(model.weights + model.momentum, (self.w0, self.w1, self.m0, self.m1)):
+            dst[...] = src
 
 
 def backward(model: MlpModel, sample: TrainingSample):
     """Exact gradient of the per-sample error; does not mutate the model."""
     x = np.asarray(sample.x, dtype=np.float64)
     d = np.asarray(sample.target, dtype=np.float64)
-    if x.shape != (model.layer_sizes[0],):
-        raise DimensionMismatch("sample input does not match the input layer")
-    if d.shape != (model.layer_sizes[2],):
-        raise DimensionMismatch("sample target does not match the output layer")
-    buf = _Buffers(model)
+    if x.shape != (model.layer_sizes[0],) or d.shape != (model.layer_sizes[2],):
+        raise DimensionMismatch("sample does not match the model architecture")
+    net = _Net(model)
     with np.errstate(over="ignore"):
-        _gradient(model, np.append(x, 1.0), d, buf)
-    return buf.grads
+        net.gradient(np.append(x, 1.0), d)
+    return [net.g0, net.g1]
 
 
 def update_weights(model: MlpModel, gradient, cfg: TrainConfig) -> None:
     """Momentum step: delta = -eta * g + alpha * previous delta, in place;
     ``model.momentum`` holds delta and ``gradient`` is left unchanged."""
-    if len(gradient) != len(model.weights):
-        raise DimensionMismatch("gradient layer count differs from the model")
-    for layer, g in enumerate(gradient):
-        if g.shape != model.weights[layer].shape:
-            raise DimensionMismatch(
-                f"gradient shape {g.shape} vs weights {model.weights[layer].shape}"
-            )
-    _momentum_step(model, gradient, cfg, [np.empty_like(w) for w in model.weights])
+    if [g.shape for g in gradient] != [w.shape for w in model.weights]:
+        raise DimensionMismatch("gradient shapes differ from the weight shapes")
+    net = _Net(model)
+    net.g0[...], net.g1[...] = gradient
+    net.momentum_step(cfg)
+    net.store(model)
 
 
 def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
@@ -209,21 +210,22 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
         if x.shape != (model.layer_sizes[0],) or d.shape != (model.layer_sizes[2],):
             raise DimensionMismatch("sample does not match the model architecture")
     xbs = [np.append(x, 1.0) for x in xs]
-    buf = _Buffers(model)
-    steps = [np.empty_like(w) for w in model.weights]
+    net = _Net(model)
     rng = np.random.default_rng(cfg.seed)
     trace: list[float] = []
-    with np.errstate(over="ignore"):
-        for _ in range(cfg.max_epochs):
-            order = rng.permutation(len(samples))
-            total = 0.0
-            for i in order:
-                err = _error(ds[i], _gradient(model, xbs[i], ds[i], buf))
-                if not math.isfinite(err):
-                    raise NonFiniteError(f"sample error diverged to {err}")
-                total += err
-                _momentum_step(model, buf.grads, cfg, steps)
-            trace.append(total / len(samples))
-            if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < cfg.epsilon:
-                break
+    try:
+        with np.errstate(over="ignore"):
+            for _ in range(cfg.max_epochs):
+                total = 0.0
+                for i in rng.permutation(len(samples)).tolist():
+                    err = net.gradient(xbs[i], ds[i])
+                    if not math.isfinite(err):
+                        raise NonFiniteError(f"sample error diverged to {err}")
+                    total += err
+                    net.momentum_step(cfg)
+                trace.append(total / len(samples))
+                if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < cfg.epsilon:
+                    break
+    finally:  # the model's own arrays hold the last state, also after an error
+        net.store(model)
     return TrainReport(len(trace), trace[-1], trace)

@@ -47,8 +47,12 @@ def median_filter(img: RgbImage, radius: int) -> RgbImage:
     if radius == 0:
         return img
     h, w, _ = img.pixels.shape
-    # interleaved rows, no size-3 axis: a pixel's row neighbours are 3 bytes away
-    p = np.pad(img.pixels, ((1, 1), (1, 1), (0, 0)), mode="edge").reshape(h + 2, 3 * w + 6)
+    # interleaved rows, no size-3 axis: a pixel's row neighbours are 3 bytes away.
+    # Slice copies clamp the edges: the side pixels, then the whole end rows
+    p = np.empty((h + 2, 3 * w + 6), dtype=np.uint8)
+    p[1:-1, 3:-3] = img.pixels.reshape(h, 3 * w)
+    p[:, :3], p[:, -3:] = p[:, 3:6], p[:, -6:-3]
+    p[0], p[-1] = p[1], p[-2]
     out = np.empty_like(img.pixels)
     rows = out.reshape(h, 3 * w)
     mn, mx = np.minimum, np.maximum
@@ -86,13 +90,14 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
         raise InvalidConfig("tolerance must be >= 0")
     if img.width < 3 or img.height < 3:
         raise ImageTooSmall("background unification needs at least 3x3 pixels")
-    px, r = img.pixels, radius
-    # a clamped window on an edge reads only the r + 1 rows (columns) nearest it
-    rows = [median_filter(RgbImage(p), r).pixels for p in (px[: r + 1], px[-r - 1 :])]
-    cols = [median_filter(RgbImage(p), r).pixels for p in (px[:, : r + 1], px[:, -r - 1 :])]
-    border = np.concatenate([rows[0][0], rows[1][-1], cols[0][1:-1, 0], cols[1][1:-1, -1]])
+    px, r, w = img.pixels, radius, img.width
+    # one median pass over the edge rows and the rows inside them, then the edge columns
+    # and theirs: lines 0 and 3 hold the border. The rows' last pixel is repeated to
+    # clamp it; the columns' corners, whose windows cross into the rows, are cut
+    rows, cols = px[[0, 1, -2, -1]], px[:, [0, 1, -2, -1]].transpose(1, 0, 2)
+    f = median_filter(RgbImage(np.concatenate([rows, rows[:, -1:], cols], axis=1)), r).pixels
     # one uint32 key per color; ascending keys are lexicographic (r, g, b)
-    border = border.astype(np.uint32)
+    border = np.concatenate([f[0, :w], f[3, :w], f[0, w + 2 : -1], f[3, w + 2 : -1]], dtype=np.uint32)
     keys = (border[:, 0] << 16) | (border[:, 1] << 8) | border[:, 2]
     colors, counts = np.unique(keys, return_counts=True)
     key = int(colors[int(np.argmax(counts))])

@@ -106,8 +106,9 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMa
     winner = int(np.argmax(sizes))
     mine = root == winner
     s, e = starts[mine], ends[mine]
-    # the foreground pixels in row-major order are the runs' pixels, run by run
-    fg[fg] = np.repeat(mine, ends - starts + 1)
+    # clear the losing runs' flat pixels: each start, over its run, plus the steps into it
+    n = (ends - starts + 1)[~mine]
+    fg.ravel()[np.repeat(starts[~mine] - (np.cumsum(n) - n), n) + np.arange(n.sum())] = False
     bits = np.zeros(img.pixels.shape[:2], dtype=bool)
     bits[box] = fg
     w = fg.shape[1]

@@ -285,6 +285,23 @@ def test_closed_stdout_is_a_quiet_exit(command, cli_model, cli_corpus):
     assert "Exception ignored" not in err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes /dev/stdout")
+def test_dev_stdout_into_head_is_a_quiet_exit(cli_corpus, tmp_path):
+    """``extract --out /dev/stdout | head -1``: the CSV is several pipe
+    buffers long, so ``head`` leaves while the write is still blocked."""
+    root = os.path.dirname(cli_corpus)
+    lines = cli_corpus.read_text().splitlines()
+    rows = [os.path.join(root, line) for line in lines[1:]]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join([lines[0]] + rows * (300 // len(rows) + 1)) + "\n")
+    cmd = (f"'{sys.executable}' -m fishid.cli extract --manifest '{manifest}' "
+           "--out /dev/stdout | head -1")
+    proc = subprocess.run(cmd, shell=True, capture_output=True, env=child_env(), timeout=120)
+    assert proc.stdout.decode().startswith("f0,f1,")
+    assert proc.stdout.count(b"\n") == 1
+    assert proc.stderr == b""
+
+
 def test_config_file_supplies_flags(cli_workdir, capsys):
     out_a = cli_workdir / "cfg_corpus_a"
     out_b = cli_workdir / "cfg_corpus_b"

@@ -19,6 +19,66 @@ def zeroed(sizes):
     return model
 
 
+# Reference for mlp.train: the same float operations, written per layer, with
+# per-layer gradient buffers and a per-layer momentum loop. train must give its
+# bytes, so a drift shared by train, backward and update_weights shows here.
+def _forward(model, xb, hb):
+    model.weights[0].dot(xb, out=hb[:-1])
+    mlp._sigmoid(hb[:-1])
+    return mlp._sigmoid(model.weights[1].dot(hb))
+
+
+def _error(d, y):
+    r = d - y
+    return 0.5 * float(r.dot(r))
+
+
+class _Buffers:
+    def __init__(self, model):
+        n_hidden = model.layer_sizes[1]
+        self.hidden = np.ones(n_hidden + 1)
+        self.grads = [np.empty_like(w) for w in model.weights]
+        self.back = model.weights[1][:, :n_hidden].T
+
+
+def _gradient(model, xb, d, buf):
+    out = _forward(model, xb, buf.hidden)
+    hidden = buf.hidden[:-1]
+    delta_out = (out - d) * out * (1.0 - out)
+    delta_hidden = (buf.back @ delta_out) * hidden * (1.0 - hidden)
+    np.multiply(delta_out[:, np.newaxis], buf.hidden, out=buf.grads[1])
+    np.multiply(delta_hidden[:, np.newaxis], xb, out=buf.grads[0])
+    return out
+
+
+def _momentum_step(model, gradient, cfg, steps):
+    for w, m, g, step in zip(model.weights, model.momentum, gradient, steps):
+        np.multiply(g, -cfg.eta, out=step)
+        m *= cfg.alpha
+        m += step
+        w += m
+
+
+def reference_train(model, samples, cfg):
+    ds = [np.asarray(s.target, dtype=np.float64) for s in samples]
+    xbs = [np.append(np.asarray(s.x, dtype=np.float64), 1.0) for s in samples]
+    buf = _Buffers(model)
+    steps = [np.empty_like(w) for w in model.weights]
+    rng = np.random.default_rng(cfg.seed)
+    trace = []
+    with np.errstate(over="ignore"):
+        for _ in range(cfg.max_epochs):
+            order = rng.permutation(len(samples))
+            total = 0.0
+            for i in order:
+                total += _error(ds[i], _gradient(model, xbs[i], ds[i], buf))
+                _momentum_step(model, buf.grads, cfg, steps)
+            trace.append(total / len(samples))
+            if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < cfg.epsilon:
+                break
+    return trace
+
+
 class TestInit:
     def test_same_seed_bit_identical(self):
         cfg = TrainConfig(seed=77)
@@ -225,6 +285,42 @@ class TestTrain:
         assert report.epochs == cfg.max_epochs
         assert np.array(report.trace).tobytes() == np.array(trace).tobytes()
         for a, b in zip(trained.weights + trained.momentum, looped.weights + looped.momentum):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 2), (5, 4, 3), (47, 24, 7)],
+                             ids=["2-3-2", "5-4-3", "47-24-7"])
+    def test_matches_reference_step(self, sizes):
+        """Byte-equal weights, momentum and error trace against the per-layer
+        reference loop above, over several epochs of several samples."""
+        cfg = TrainConfig(seed=sum(sizes), max_epochs=6, epsilon=1e-12)
+        rng = np.random.default_rng(sizes[0])
+        samples = [TrainingSample(rng.uniform(0, 1, sizes[0]), np.eye(sizes[2])[k % sizes[2]])
+                   for k in range(3 * sizes[2])]
+        trained = mlp.init(sizes, cfg)
+        report = mlp.train(trained, samples, cfg)
+        reference = mlp.init(sizes, cfg)
+        trace = reference_train(reference, samples, cfg)
+        assert np.array(report.trace).tobytes() == np.array(trace).tobytes()
+        for a, b in zip(trained.weights + trained.momentum,
+                        reference.weights + reference.momentum):
+            assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_error_leaves_the_last_state_in_the_model(self):
+        """The model's own arrays hold the weights and momentum of the steps
+        taken before the error diverged."""
+        cfg = TrainConfig(seed=2, max_epochs=3)
+        good = TrainingSample(np.array([0.2, 0.7]), np.array([1.0]))
+        bad = TrainingSample(np.array([np.nan, 0.0]), np.array([1.0]))
+        trained = mlp.init((2, 2, 1), cfg)
+        arrays = trained.weights + trained.momentum
+        with pytest.raises(NonFiniteError):
+            mlp.train(trained, [good] * 3 + [bad], cfg)
+        assert all(a is b for a, b in zip(arrays, trained.weights + trained.momentum))
+        order = np.random.default_rng(cfg.seed).permutation(4).tolist()
+        stepped = mlp.init((2, 2, 1), cfg)
+        for i in order[: order.index(3)]:
+            mlp.update_weights(stepped, mlp.backward(stepped, good), cfg)
+        for a, b in zip(trained.weights + trained.momentum, stepped.weights + stepped.momentum):
             assert a.tobytes() == b.tobytes()
 
     def test_empty_training_set(self):

@@ -73,7 +73,7 @@ FILTER_CASES = (
     st.integers(0, 2**32 - 1),
     st.sampled_from([0, 1]),
     st.sampled_from([0.0, 10.0, 25.0, 120.0, 441.0, 1000.0]),
-    st.sampled_from(["empty", "blob", "top", "bottom", "left", "right", "noise", "tie"]),
+    st.sampled_from(["empty", "blob", "top", "bottom", "left", "right", "noise", "tie", "ring"]),
 )
 ROTATION_CASES = (
     st.integers(3, 48),
@@ -217,8 +217,8 @@ class TestFilterAndUnify:
         """Pixels from a four-color palette (the background, a color at
         exactly the tolerance where the deltas allow, and two random ones): a
         random blob, a box touching one frame edge, noise over the whole
-        frame, two halves that tie the border vote when h is even, or nothing
-        but background."""
+        frame or only over its 2-pixel border band, two halves that tie the
+        border vote when h is even, or nothing but background."""
         rng = np.random.default_rng(seed)
         bg = rng.integers(0, 256, 3)
         delta = {10.0: (6, 8, 0), 25.0: (12, 9, 20), 120.0: (0, 72, 96)}.get(tolerance, (3, 0, 4))
@@ -237,6 +237,9 @@ class TestFilterAndUnify:
             sel[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < 0.6
         elif scene == "noise":
             sel[:] = True
+        elif scene == "ring":  # only the border band, so strip junctions decide the vote
+            sel[:] = True
+            sel[2:-2, 2:-2] = False
         elif scene == "tie":
             px[h // 2 :] = palette[2]
             sel[1:-1, 1:-1] = rng.random((h - 2, w - 2)) < 0.2
