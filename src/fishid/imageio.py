@@ -107,7 +107,7 @@ def write_file(path, data: bytes, what) -> None:
     sibling of the symlink-resolved path, which is then renamed over it. Anything
     else (a pipe, a device) is written in place, and the open never waits: a
     FIFO with no reader, like a directory, is an IoFailure."""
-    tmp = None
+    tmp = stdout = None
     try:
         if os.path.isfile(path) or not os.path.exists(path):
             real = os.path.realpath(path)
@@ -120,10 +120,12 @@ def write_file(path, data: bytes, what) -> None:
         else:
             with open(os.open(path, os.O_WRONLY | getattr(os, "O_NONBLOCK", 0)), "wb") as fh:
                 os.set_blocking(fh.fileno(), True)  # a reader that is there takes every byte
+                with contextlib.suppress(OSError):  # fd 1 may be closed
+                    stdout = os.path.sameopenfile(fh.fileno(), 1)
                 fh.write(data)
-    except BrokenPipeError:
-        raise  # the reader left early: cli.main exits quietly, as for a closed stdout
     except (OSError, ValueError) as exc:
+        if stdout and isinstance(exc, BrokenPipeError):
+            raise  # the reader of this process's stdout left: cli.main exits quietly
         if tmp:
             with contextlib.suppress(OSError):  # never created, or not a file
                 os.remove(tmp)

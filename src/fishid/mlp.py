@@ -109,7 +109,9 @@ def _forward(w0, w1, xb: np.ndarray, hb: np.ndarray, out=None) -> np.ndarray:
 def forward(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.layer_sizes[0],):
-        raise DimensionMismatch(f"input shape {x.shape} vs {model.layer_sizes[0]} inputs")
+        raise DimensionMismatch(
+            f"input length {x.shape} does not match {model.layer_sizes[0]} inputs"
+        )
     with np.errstate(over="ignore"):
         return _forward(*model.weights, np.append(x, 1.0), np.ones(model.layer_sizes[1] + 1))
 
@@ -123,26 +125,25 @@ def sample_error(target, output) -> float:
     return 0.5 * float(r.dot(r))
 
 
-class _Net:
-    """The one training step: weights, momentum, gradient and step are one flat
-    float64 buffer each, with per-layer views, and every temporary is preallocated.
-    It works on a copy of the model's arrays; :meth:`store` writes them back."""
+def _flat(arrays):
+    """A flat float64 copy of the two layers' ``arrays``, and its per-layer views."""
+    buf = np.concatenate([a.ravel() for a in arrays])
+    return buf, [b.reshape(a.shape) for a, b in zip(arrays, np.split(buf, [arrays[0].size]))]
 
-    def __init__(self, model: MlpModel):
-        n_hidden, n_out = model.layer_sizes[1:]
-        split, (s0, s1) = model.weights[0].size, [w.shape for w in model.weights]
-        self.w, self.m = (np.concatenate([a.ravel() for a in arrays])
-                          for arrays in (model.weights, model.momentum))
-        self.g, self.step = np.empty_like(self.w), np.empty_like(self.w)
-        (self.w0, self.w1), (self.m0, self.m1), (self.g0, self.g1) = (
-            (a[:split].reshape(s0), a[split:].reshape(s1)) for a in (self.w, self.m, self.g))
-        self.back = self.w1[:, :n_hidden].T  # a view: the in-place updates keep it current
+
+class _Net:
+    """The per-sample gradient at ``w0``, ``w1`` (updated in place between calls), into
+    one flat buffer ``g`` with views ``g0``, ``g1``; every temporary is preallocated."""
+
+    def __init__(self, w0: np.ndarray, w1: np.ndarray):
+        self.w0, self.w1, n_hidden = w0, w1, w0.shape[0]
+        self.g, (self.g0, self.g1) = _flat([np.empty_like(w0), np.empty_like(w1)])
+        self.back = w1[:, :n_hidden].T  # a view: the in-place updates keep it current
         self.hb, (self.d_hid, self.t_hid) = np.ones(n_hidden + 1), np.empty((2, n_hidden))
-        self.out, self.r, self.d_out = np.empty((3, n_out))
+        self.out, self.r, self.d_out = np.empty((3, w1.shape[0]))
 
     def gradient(self, xb: np.ndarray, d: np.ndarray) -> float:
-        """Fill ``g`` with the gradient at the bias-augmented input ``xb``
-        and target ``d``; return the error, measured before any update."""
+        """Fill ``g`` at the bias-augmented input ``xb`` and target ``d``; return the error."""
         out, r, d_out, d_hid, hidden = self.out, self.r, self.d_out, self.d_hid, self.hb[:-1]
         _forward(self.w0, self.w1, xb, self.hb, out)
         np.subtract(out, d, out=r)
@@ -159,17 +160,14 @@ class _Net:
         np.multiply(d_hid[:, None], xb, out=self.g0)
         return err
 
-    def momentum_step(self, cfg: TrainConfig) -> None:
-        """``m <- alpha * m + (-eta) * g`` and ``w <- w + m`` on the whole buffers;
-        addition commutes, so ``m`` gets the bytes of ``-eta * g + alpha * m``."""
-        np.multiply(self.g, -cfg.eta, out=self.step)
-        self.m *= cfg.alpha
-        self.m += self.step
-        self.w += self.m
 
-    def store(self, model: MlpModel) -> None:
-        for dst, src in zip(model.weights + model.momentum, (self.w0, self.w1, self.m0, self.m1)):
-            dst[...] = src
+def _momentum_step(w, m, g, step, cfg: TrainConfig) -> None:
+    """In place: ``m <- alpha * m + (-eta) * g`` (``step`` gets the second term), ``w <- w + m``;
+    on one layer or on flat buffers. Addition commutes: the bytes of ``-eta * g + alpha * m``."""
+    np.multiply(g, -cfg.eta, out=step)
+    m *= cfg.alpha
+    m += step
+    w += m
 
 
 def backward(model: MlpModel, sample: TrainingSample):
@@ -178,7 +176,7 @@ def backward(model: MlpModel, sample: TrainingSample):
     d = np.asarray(sample.target, dtype=np.float64)
     if x.shape != (model.layer_sizes[0],) or d.shape != (model.layer_sizes[2],):
         raise DimensionMismatch("sample does not match the model architecture")
-    net = _Net(model)
+    net = _Net(*model.weights)
     with np.errstate(over="ignore"):
         net.gradient(np.append(x, 1.0), d)
     return [net.g0, net.g1]
@@ -187,12 +185,11 @@ def backward(model: MlpModel, sample: TrainingSample):
 def update_weights(model: MlpModel, gradient, cfg: TrainConfig) -> None:
     """Momentum step: delta = -eta * g + alpha * previous delta, in place;
     ``model.momentum`` holds delta and ``gradient`` is left unchanged."""
-    if [g.shape for g in gradient] != [w.shape for w in model.weights]:
-        raise DimensionMismatch("gradient shapes differ from the weight shapes")
-    net = _Net(model)
-    net.g0[...], net.g1[...] = gradient
-    net.momentum_step(cfg)
-    net.store(model)
+    shapes = [[a.shape for a in arrays] for arrays in (gradient, model.weights)]
+    if shapes[0] != shapes[1]:
+        raise DimensionMismatch(f"gradient shapes {shapes[0]} vs weights {shapes[1]}")
+    for w, m, g in zip(model.weights, model.momentum, gradient):
+        _momentum_step(w, m, g, np.empty_like(w), cfg)
 
 
 def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
@@ -210,7 +207,8 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
         if x.shape != (model.layer_sizes[0],) or d.shape != (model.layer_sizes[2],):
             raise DimensionMismatch("sample does not match the model architecture")
     xbs = [np.append(x, 1.0) for x in xs]
-    net = _Net(model)
+    (w, (w0, w1)), (m, (m0, m1)) = _flat(model.weights), _flat(model.momentum)
+    net, step = _Net(w0, w1), np.empty_like(w)
     rng = np.random.default_rng(cfg.seed)
     trace: list[float] = []
     try:
@@ -222,10 +220,11 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
                     if not math.isfinite(err):
                         raise NonFiniteError(f"sample error diverged to {err}")
                     total += err
-                    net.momentum_step(cfg)
+                    _momentum_step(w, m, net.g, step, cfg)
                 trace.append(total / len(samples))
                 if len(trace) >= 2 and abs(trace[-2] - trace[-1]) < cfg.epsilon:
                     break
     finally:  # the model's own arrays hold the last state, also after an error
-        net.store(model)
+        for dst, src in zip(model.weights + model.momentum, (w0, w1, m0, m1)):
+            dst[...] = src
     return TrainReport(len(trace), trace[-1], trace)

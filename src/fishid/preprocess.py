@@ -47,11 +47,10 @@ def median_filter(img: RgbImage, radius: int) -> RgbImage:
     if radius == 0:
         return img
     h, w, _ = img.pixels.shape
-    # interleaved rows, no size-3 axis: a pixel's row neighbours are 3 bytes away.
-    # Slice copies clamp the edges: the side pixels, then the whole end rows
+    # interleaved rows, no size-3 axis: a pixel's row neighbours are 3 bytes away
     p = np.empty((h + 2, 3 * w + 6), dtype=np.uint8)
     p[1:-1, 3:-3] = img.pixels.reshape(h, 3 * w)
-    p[:, :3], p[:, -3:] = p[:, 3:6], p[:, -6:-3]
+    p[:, :3], p[:, -3:] = p[:, 3:6], p[:, -6:-3]  # clamp the sides, then the whole end rows
     p[0], p[-1] = p[1], p[-2]
     out = np.empty_like(img.pixels)
     rows = out.reshape(h, 3 * w)

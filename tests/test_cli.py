@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import select
 import subprocess
 import sys
 
@@ -285,22 +286,52 @@ def test_closed_stdout_is_a_quiet_exit(command, cli_model, cli_corpus):
     assert "Exception ignored" not in err
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes /dev/stdout")
-def test_dev_stdout_into_head_is_a_quiet_exit(cli_corpus, tmp_path):
-    """``extract --out /dev/stdout | head -1``: the CSV is several pipe
-    buffers long, so ``head`` leaves while the write is still blocked."""
+@pytest.fixture
+def long_manifest(cli_corpus, tmp_path):
+    """A manifest of 300 rows, whose feature CSV is several pipe buffers long,
+    so a reader that leaves early finds the write still blocked."""
     root = os.path.dirname(cli_corpus)
     lines = cli_corpus.read_text().splitlines()
     rows = [os.path.join(root, line) for line in lines[1:]]
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("\n".join([lines[0]] + rows * (300 // len(rows) + 1)) + "\n")
-    cmd = (f"'{sys.executable}' -m fishid.cli extract --manifest '{manifest}' "
+    return manifest
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="writes /dev/stdout")
+def test_dev_stdout_into_head_is_a_quiet_exit(long_manifest):
+    """``extract --out /dev/stdout | head -1``: ``head`` closes this process's
+    own stdout, which is the quiet exit of ``fishid evaluate ... | head``."""
+    cmd = (f"'{sys.executable}' -m fishid.cli extract --manifest '{long_manifest}' "
            "--out /dev/stdout | head -1")
     proc = subprocess.run(cmd, shell=True, capture_output=True, env=child_env(), timeout=120)
     assert proc.stdout.decode().startswith("f0,f1,")
     assert proc.stdout.count(b"\n") == 1
     assert proc.stderr == b""
 
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_whose_reader_leaves_is_an_error_line(long_manifest, tmp_path):
+    """An ``--out`` FIFO that is not this process's stdout: a reader that leaves
+    early is a write failure, reported on one ``error:`` line."""
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # there before the writer opens
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fishid.cli", "extract", "--manifest",
+             os.fspath(long_manifest), "--out", os.fspath(fifo)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        )
+        assert select.select([reader], [], [], 120)[0], "no bytes reached the FIFO"
+        assert os.read(reader, 10).startswith(b"f0,")
+    finally:
+        os.close(reader)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert out == b""
+    assert err.decode().startswith("error: writing features ") and err.count(b"\n") == 1, err
 
 def test_config_file_supplies_flags(cli_workdir, capsys):
     out_a = cli_workdir / "cfg_corpus_a"
