@@ -8,6 +8,7 @@ values given on the command line win on conflict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -87,7 +88,7 @@ _REQUIRED = {
     "classify": ("model", "image"),
 }
 
-# the file a command writes after all its work: its directory is checked first
+# the file a command writes after all its work: checked first, and opened first if not a file
 _WRITES = {"extract": "out", "train": "out", "evaluate": "report"}
 
 
@@ -133,6 +134,11 @@ def _merge_options(command, args):
     path = merged.get(_WRITES.get(command))
     if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise IoFailure(f"cannot write {path}: its directory does not exist")
+    if path and os.path.exists(path) and not os.path.isfile(path):
+        try:  # held until the output is written: closing it first gives a reader end-of-file
+            merged["held"] = open(os.open(path, os.O_WRONLY | getattr(os, "O_NONBLOCK", 0)), "wb")
+        except OSError as exc:  # ENXIO: a FIFO with no reader
+            raise IoFailure(f"cannot write {path}: {exc}") from None
     return merged
 
 
@@ -232,7 +238,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             merged = _merge_options(args.command, args)
-            rc = _HANDLERS[args.command](merged)
+            with merged.pop("held", contextlib.nullcontext()):
+                rc = _HANDLERS[args.command](merged)
             sys.stdout.flush()  # a closed pipe raises here, not at exit
             return rc
         except (ToolkitError, MemoryError) as exc:  # MemoryError: e.g. a huge --hidden

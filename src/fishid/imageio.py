@@ -221,16 +221,30 @@ def filled(h: int, w: int, color) -> np.ndarray:
     return out
 
 
+def planes(px) -> np.ndarray:
+    """(h, w, 3) pixels as contiguous (3, h, w) uint8 channel planes."""
+    return np.ascontiguousarray(np.moveaxis(px, -1, 0))
+
+
 def sq_distance(a, b) -> np.ndarray:
-    """Exact int32 squared RGB distance, summed per channel (a size-3 axis sum is slower)."""
-    return sum((a[..., c].astype(np.int32) - b[..., c]) ** 2 for c in range(3))
+    """Exact int32 squared RGB distance between (3, h, w) uint8 planes ``a`` and
+    planes or a color ``b``, one contiguous channel at a time."""
+    out = np.zeros(a.shape[1:], dtype=np.int32)
+    for x, y in zip(a, b):
+        d = np.subtract(x, y, dtype=np.int16).view(np.uint16)  # d*d mod 2**16 == (x-y)**2
+        out += np.multiply(d, d, out=d)
+    return out
 
 
-def differs_window(pixels: np.ndarray, color):
-    """The (row, column) slice pair bounding the pixels unequal to ``color``
-    in some channel, or ``None`` when every pixel equals it."""
+def differs_window(pixels: np.ndarray, color, within=None):
+    """The (row, column) slice pair of the frame bounding the pixels unequal to
+    ``color`` in some channel, or ``None`` if none is. With ``within`` (slices with
+    integer starts) only ``pixels[within]`` is scanned."""
+    if within is not None:
+        found = differs_window(pixels[within], color)
+        return found and tuple(slice(f.start + o.start, f.stop + o.start) for f, o in zip(found, within))
     h, w, _ = pixels.shape
-    # one contiguous uint8 compare over the interleaved rows is the fastest scan
+    # one contiguous uint8 compare over the interleaved rows beats deinterleaving
     differs = pixels.reshape(h, 3 * w) != np.tile(np.asarray(color, dtype=np.uint8), w)
     rows = np.flatnonzero(differs.any(axis=1))
     if rows.size == 0:

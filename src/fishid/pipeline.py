@@ -27,7 +27,7 @@ from .errors import (
 from .features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, extract_features, find_head_side
 from .imageio import RgbImage, decode_image, load_manifest, read_file, to_indexed, write_file
 from .mlp import MlpModel, TrainConfig
-from .preprocess import PreprocessConfig, filter_and_unify, normalize_rotation
+from .preprocess import PreprocessConfig, _filter_and_unify, _normalize_rotation
 from .segment import FishMask, extract_mask, group_by_color, trace_contour
 
 MODEL_VERSION = 1
@@ -113,11 +113,11 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     the descriptors unimodal per class. The flip is an exact index reversal.
     """
     pre = config.preprocess
-    unified, background = _staged(
-        "background", filter_and_unify, img, pre.median_radius, pre.background_tolerance
-    )
-    rotated = _staged("rotation", normalize_rotation, unified, background)
-    mask = _staged("mask", extract_mask, rotated, background, config.fg_tolerance)
+    # each stage hands on a box outside which its output is background: the next scans only it
+    unified, background, box = _staged("background", _filter_and_unify, img, pre.median_radius,
+                                       pre.background_tolerance)
+    rotated, box = _staged("rotation", _normalize_rotation, unified, background, box)
+    mask = _staged("mask", extract_mask, rotated, background, config.fg_tolerance, box)
     if find_head_side(mask) == "right":
         rotated = RgbImage(rotated.pixels[:, ::-1])
         x0, y0, w, h = mask.bbox

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import EmptyForeground, ImageTooSmall, InvalidConfig
-from .imageio import RgbImage, differs_window, filled, sq_distance
+from .imageio import RgbImage, differs_window, filled, planes, sq_distance
 
 # skip resampling when the measured orientation is below half a degree
 _ROTATION_SKIP_RAD = math.radians(0.5)
@@ -85,6 +85,11 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
 
     Returns ``(image, background_color)``; the image is a new array.
     """
+    return _filter_and_unify(img, radius, tolerance)[:2]
+
+
+def _filter_and_unify(img: RgbImage, radius: int, tolerance: float):
+    """:func:`filter_and_unify`, plus a box outside which the output is background, or None."""
     if not tolerance >= 0:  # NaN fails too
         raise InvalidConfig("tolerance must be >= 0")
     if img.width < 3 or img.height < 3:
@@ -103,21 +108,21 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
     color = (key >> 16, (key >> 8) & 255, key & 255)
     out = filled(img.height, img.width, color)
     box = differs_window(px, color)
+    grown = box and tuple(slice(max(s.start - r, 0), s.stop + r) for s in box)
     if box is not None:
         # outside the differing box grown by r, every clamped window holds
         # only the background, so the output there is the background. Each
         # edge of the grown box is the frame's edge or a background line, so
         # clamping at the box reads the colors that clamping at the frame reads.
-        grown = tuple(slice(max(s.start - r, 0), s.stop + r) for s in box)
         win = out[grown]
         win[:] = median_filter(RgbImage(px[grown]), r).pixels
         bg = np.array(color, dtype=np.uint8)
-        near = sq_distance(win, bg) <= tolerance * tolerance
+        near = sq_distance(planes(win), bg) <= tolerance * tolerance
         h, w = near.shape
         # one masked copy over the interleaved rows; indexing by pixel moves 3 bytes a step
         np.copyto(win.reshape(h, 3 * w), np.tile(bg, w),
                   where=np.stack((near, near, near), axis=-1).reshape(h, 3 * w))
-    return RgbImage(out), color
+    return RgbImage(out), color, grown
 
 
 def unify_background(img: RgbImage, cfg: PreprocessConfig):
@@ -151,19 +156,24 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     background color. Inputs already within half a degree of horizontal are
     returned unchanged.
     """
-    box = differs_window(img.pixels, background_color)
+    return _normalize_rotation(img, background_color, None)[0]
+
+
+def _normalize_rotation(img: RgbImage, background_color, within):
+    """:func:`normalize_rotation` of an image that is background outside ``within``
+    (``None``: anywhere), plus a box outside which the output is background."""
+    box = differs_window(img.pixels, background_color, within)
     if box is None:
         raise EmptyForeground("image has no non-background pixels")
     box_px = img.pixels[box]
     bh, bw, _ = box_px.shape
     y0, x0 = box[0].start, box[1].start
-    # compare interleaved rows, then OR each pixel's three channel columns
-    fg = box_px.reshape(bh, 3 * bw) != np.tile(np.asarray(background_color, dtype=np.uint8), bw)
-    ys, xs = np.nonzero(fg[:, 0::3] | fg[:, 1::3] | fg[:, 2::3])
+    p, (c0, c1, c2) = planes(box_px), background_color
+    ys, xs = np.nonzero((p[0] != c0) | (p[1] != c1) | (p[2] != c2))
     cx, cy, s20, s02, s11 = central_moments(ys, xs)
     theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     if abs(theta) < _ROTATION_SKIP_RAD:
-        return img
+        return img, box
     h, w = img.height, img.width
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     # output pixel p maps to source R(theta) (p - c) + c, all in local coords;
@@ -195,4 +205,4 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
         np.clip(np.rint(src_y, out=src_y), -1, bh, out=src_y)
         flat = ((src_y + 1) * (bw + 2) + (src_x + 1)).astype(np.intp)  # exact in float64
         win[band] = np.take(fish, flat, axis=0)
-    return RgbImage(out)
+    return RgbImage(out), (slice(wy0, wy1), slice(wx0, wx1))

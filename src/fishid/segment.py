@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyForeground, InvalidConfig
-from .imageio import RgbImage, differs_window, sq_distance
+from .imageio import RgbImage, differs_window, planes, sq_distance
 
 # Moore neighborhood in clockwise order (x right, y down):
 # W, NW, N, NE, E, SE, S, SW
@@ -84,17 +84,16 @@ class ColorGroups:
     pixel_count: int
 
 
-def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMask:
+def extract_mask(img: RgbImage, background_color, fg_tolerance: float, within=None) -> FishMask:
     """Keep the largest 4-connected component farther than ``fg_tolerance``
     from the background color (ties: the component containing the smallest
-    row-major pixel index)."""
+    row-major pixel index). With ``within``, outside which ``img`` is background, only it is scanned."""
     if not fg_tolerance > 0:
         raise InvalidConfig("fg_tolerance must be > 0")
-    box = differs_window(img.pixels, background_color)
+    box = differs_window(img.pixels, background_color, within)
     if box is None:  # a pixel equal to the background is at distance 0
         raise EmptyForeground("no pixel exceeds the foreground tolerance")
-    bg = np.asarray(background_color, dtype=np.int32)
-    fg = sq_distance(img.pixels[box], bg) > fg_tolerance * fg_tolerance
+    fg = sq_distance(planes(img.pixels[box]), background_color) > fg_tolerance * fg_tolerance
     # label only that window; row-major order in it is full-frame row-major
     # order, so size ties break the same
     starts, ends, root = _label_runs(fg, fg[:, 1:] & fg[:, :-1], fg[1:] & fg[:-1])
@@ -229,11 +228,11 @@ def group_by_color(mask: FishMask, img: RgbImage, eps: float) -> ColorGroups:
     if not eps >= 0:
         raise InvalidConfig("eps must be >= 0")
     bits = mask.crop(mask.bits)
-    px = mask.crop(img.pixels)
+    p = planes(mask.crop(img.pixels))
     # 4-neighbors are linked when their colors are within eps; the groups are
     # the components of that graph, one per root
     tol = eps * eps
-    right = (sq_distance(px[:, 1:], px[:, :-1]) <= tol) & bits[:, 1:] & bits[:, :-1]
-    down = (sq_distance(px[1:], px[:-1]) <= tol) & bits[1:] & bits[:-1]
+    right = (sq_distance(p[:, :, 1:], p[:, :, :-1]) <= tol) & bits[:, 1:] & bits[:, :-1]
+    down = (sq_distance(p[:, 1:], p[:, :-1]) <= tol) & bits[1:] & bits[:-1]
     _, _, root = _label_runs(bits, right, down)
     return ColorGroups(int(np.count_nonzero(root == np.arange(root.size))), mask.area)

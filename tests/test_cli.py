@@ -11,7 +11,7 @@ import fishid
 from fishid import pipeline
 from fishid.cli import main
 from fishid.errors import IoFailure
-from fishid.imageio import load_manifest
+from fishid.imageio import MANIFEST_HEADER, load_manifest
 from fishid.pipeline import save_bundle, train_bundle
 
 
@@ -187,6 +187,51 @@ def test_writer_fifo_with_no_reader_is_an_error(what, tmp_path, cli_model, cli_c
     os.mkfifo(fifo)
     proc = run_writer_child(what, os.fspath(fifo), cli_model, cli_corpus)
     assert proc.returncode == 0 and f"writing {what}".encode() in proc.stdout, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
+def test_output_fifo_with_no_reader_is_refused_before_any_work(command, tmp_path, cli_model, capsys):
+    """The output is opened before the first image is read: with a manifest
+    whose image is missing, the one error line names the FIFO, not the image."""
+    manifest = tmp_path / "manifest.csv"
+    rows = [f"missing.ppm,Scombridae,0,c,{split}" for split in ("train", "test")]
+    manifest.write_text("\n".join([MANIFEST_HEADER, *rows]) + "\n")
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    argv = [command, "--manifest", os.fspath(manifest)]
+    if command == "evaluate":
+        argv += ["--model", os.fspath(cli_model), "--report", os.fspath(fifo)]
+    else:
+        argv += ["--out", os.fspath(fifo)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {fifo}: ") and err.count("\n") == 1, err
+    assert "missing.ppm" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_output_fifo_with_a_reader_gets_the_whole_output(cli_corpus, tmp_path):
+    """The FIFO opened before the work stays open until the output is written,
+    so a reader that is there reads every byte and then the end."""
+    assert main(["extract", "--manifest", os.fspath(cli_corpus),
+                 "--out", os.fspath(tmp_path / "plain.csv")]) == 0
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:  # the CSV fits in the pipe's buffer, so the child ends without a read
+        proc = subprocess.run(
+            [sys.executable, "-m", "fishid.cli", "extract", "--manifest",
+             os.fspath(cli_corpus), "--out", os.fspath(fifo)],
+            capture_output=True, env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        chunks = [os.read(reader, 1 << 20)]
+        while chunks[-1]:
+            chunks.append(os.read(reader, 1 << 20))
+    finally:
+        os.close(reader)
+    assert b"".join(chunks) == (tmp_path / "plain.csv").read_bytes()
 
 
 # The device tests write through a link in tmp_path: a writer that replaced

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fishid import dtree, mlp, pipeline, synthgen
 from fishid.errors import (
@@ -14,12 +15,14 @@ from fishid.errors import (
     EmptyTestSet,
     EmptyTrainingSet,
     IoFailure,
+    ToolkitError,
     VersionMismatch,
 )
 from fishid.features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, find_head_side
 from fishid.imageio import RgbImage, encode_ppm, load_manifest, write_manifest
 from fishid.mlp import TrainConfig
 from fishid.preprocess import (
+    filter_and_unify,
     median_filter,
     normalize_rotation,
     unify_background,
@@ -100,6 +103,69 @@ class TestAnalyzeImage:
         assert np.array_equal(img.pixels, before)
         assert not np.shares_memory(img.pixels, analysis.image.pixels)
         assert np.array_equal(analysis.image.pixels, rotated.pixels[:, ::-1].copy())
+
+@st.composite
+def flat_scenes(draw):
+    """A frame of one background color holding a textured ellipse (at an angle
+    or axis-aligned, possibly cut by a frame edge), a patch whose color differs
+    from the background in one channel only, an isolated pixel, or none."""
+    h, w = draw(st.integers(12, 40)), draw(st.integers(12, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bg = rng.integers(0, 256, 3).astype(np.uint8)
+    px = np.empty((h, w, 3), dtype=np.uint8)
+    px[:] = bg
+    if draw(st.booleans()):
+        edge = draw(st.sampled_from([None, "top", "bottom", "left", "right"]))
+        cy = {"top": 0, "bottom": h - 1}.get(edge, draw(st.integers(4, h - 5)))
+        cx = {"left": 0, "right": w - 1}.get(edge, draw(st.integers(4, w - 5)))
+        angle = draw(st.sampled_from([0.0, 0.4, -0.9, 1.3]))
+        a, b = draw(st.floats(3.0, 12.0)), draw(st.floats(2.0, 3.0))
+        ys, xs = np.mgrid[:h, :w]
+        u = (xs - cx) * np.cos(angle) + (ys - cy) * np.sin(angle)
+        v = (ys - cy) * np.cos(angle) - (xs - cx) * np.sin(angle)
+        inside = (u / a) ** 2 + (v / b) ** 2 <= 1
+        far = [bg ^ 0x80, bg ^ 0xC0, bg ^ 0xA0]  # each channel at least 64 from bg
+        px[inside] = np.array(far)[rng.integers(0, 3, int(inside.sum()))]
+    if draw(st.booleans()):
+        c, delta = draw(st.integers(0, 2)), draw(st.sampled_from([1, 30, 60, 200]))
+        y, x, n = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)), draw(st.integers(1, 4))
+        px[y : y + n, x : x + n, c] = (int(bg[c]) + delta) % 256
+    return RgbImage(px)
+
+
+def analysis_or_error(img):
+    try:
+        return pipeline.analyze_image(img, pipeline.PipelineConfig())
+    except ToolkitError as exc:
+        return type(exc), exc.stage
+
+
+class TestBoundedScans:
+    @settings(deadline=None, max_examples=200)
+    @given(flat_scenes())
+    def test_bounded_scans_equal_full_scans(self, img):
+        """``analyze_image`` hands each stage's box to the next; the public
+        stages, which scan the whole frame, must give the same result."""
+        bounded = analysis_or_error(img)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "_filter_and_unify",
+                       lambda img, r, t: (*filter_and_unify(img, r, t), None))
+            mp.setattr(pipeline, "_normalize_rotation",
+                       lambda img, bg, box: (normalize_rotation(img, bg), None))
+            full = analysis_or_error(img)
+        if isinstance(full, tuple):
+            assert bounded == full
+            return
+        assert bounded.features.tobytes() == full.features.tobytes()
+        assert np.array_equal(bounded.image.pixels, full.image.pixels)
+        assert np.array_equal(bounded.mask.bits, full.mask.bits)
+        assert (bounded.mask.area, bounded.mask.bbox) == (full.mask.area, full.mask.bbox)
+
+    def test_all_background_frame_fails_at_the_rotation(self):
+        px = np.empty((20, 30, 3), dtype=np.uint8)
+        px[:] = (10, 200, 30)
+        assert analysis_or_error(RgbImage(px)) == (EmptyForeground, "rotation")
+
 
 class TestTrainBundle:
     def test_deterministic_model_bytes(self, small_corpus, tmp_path):

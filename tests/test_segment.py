@@ -8,7 +8,7 @@ from scipy import ndimage
 
 from fishid import synthgen
 from fishid.errors import EmptyForeground, InvalidConfig
-from fishid.imageio import RgbImage, sq_distance
+from fishid.imageio import RgbImage, planes, sq_distance
 from fishid.segment import (
     Contour,
     FishMask,
@@ -191,6 +191,12 @@ def first_largest(bits):
     return out
 
 
+def int64_sq_distance(a, b):
+    """Squared RGB distance over the last axis, in int64: the reference that
+    ``sq_distance`` is checked against."""
+    return ((a.astype(np.int64) - b) ** 2).sum(-1)
+
+
 def lattice_group_count(mask, img, eps):
     """The former ``group_by_color``: pixel (i, j) at lattice cell (2i, 2j),
     the cell between two 4-neighbors set when their colors are within eps,
@@ -201,8 +207,8 @@ def lattice_group_count(mask, img, eps):
     lat = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
     lat[::2, ::2] = bits
     tol = eps * eps
-    lat[::2, 1::2] = (sq_distance(px[:, 1:], px[:, :-1]) <= tol) & bits[:, 1:] & bits[:, :-1]
-    lat[1::2, ::2] = (sq_distance(px[1:], px[:-1]) <= tol) & bits[1:] & bits[:-1]
+    lat[::2, 1::2] = (int64_sq_distance(px[:, 1:], px[:, :-1]) <= tol) & bits[:, 1:] & bits[:, :-1]
+    lat[1::2, ::2] = (int64_sq_distance(px[1:], px[:-1]) <= tol) & bits[1:] & bits[:-1]
     return ndimage.label(lat)[1]  # 4-connected
 
 
@@ -236,6 +242,9 @@ def tied_layouts(draw):
 
 
 class TestSqDistance:
+    """``sq_distance`` reads (3, h, w) channel planes; the reference reads
+    (h, w, 3) pixels."""
+
     @settings(max_examples=60)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_matches_int64_reference(self, h, w, seed):
@@ -243,16 +252,26 @@ class TestSqDistance:
         extremes = np.array([0, 1, 254, 255], dtype=np.uint8)
         a, b = (rng.choice(extremes, (h, w, 3)) if rng.random() < 0.5
                 else rng.integers(0, 256, (h, w, 3), dtype=np.uint8) for _ in range(2))
-        ref = ((a.astype(np.int64) - b) ** 2).sum(axis=2)
-        assert np.array_equal(sq_distance(a, b), ref)
+        p = planes(a)
+        assert np.array_equal(sq_distance(p, planes(b)), int64_sq_distance(a, b))
         for color in (b[0, 0], b[0, 0].astype(np.int32)):
-            ref = ((a.astype(np.int64) - color.astype(np.int64)) ** 2).sum(axis=2)
-            assert np.array_equal(sq_distance(a, color), ref)
+            assert np.array_equal(sq_distance(p, color), int64_sq_distance(a, color))
+        # the right and down neighbour distances, as slices of one crop's planes
+        right = int64_sq_distance(a[:, 1:], a[:, :-1])
+        assert np.array_equal(sq_distance(p[:, :, 1:], p[:, :, :-1]), right)
+        assert np.array_equal(sq_distance(p[:, 1:], p[:, :-1]), int64_sq_distance(a[1:], a[:-1]))
 
     def test_extreme_channels(self):
-        white = np.full((1, 2, 3), 255, dtype=np.uint8)
+        white = planes(np.full((1, 2, 3), 255, dtype=np.uint8))
         assert sq_distance(white, np.zeros(3, dtype=np.uint8)).tolist() == [[3 * 255**2] * 2]
+        assert sq_distance(white, np.zeros(3, dtype=np.int32)).tolist() == [[3 * 255**2] * 2]
         assert sq_distance(white, white).tolist() == [[0, 0]]
+
+    def test_planes_are_contiguous_channels(self):
+        px = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
+        p = planes(px[:, ::-1])  # a reversed view, as a mirrored fish's crop is
+        assert p.flags.c_contiguous and p.shape == (3, 2, 4)
+        assert np.array_equal(p, px[:, ::-1].transpose(2, 0, 1))
 
 
 class TestExtractMask:
