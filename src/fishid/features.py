@@ -15,7 +15,7 @@ index  definition (bbox = (x0, y0, w, h); A = mask area; P = perimeter;
 5      compactness 4*pi*A / P^2 (1.0 when P == 0)
 6-13   radial signature: max centroid-to-contour distance per 45-degree
        sector starting at 0, divided by the global max (empty sector -> 0)
-14     solidity A / convex hull area of the contour (degenerate hull -> 1)
+14     solidity A / convex hull area of the mask (degenerate hull -> 1)
 15     extent A / (w*h)
 16     eccentricity from central second moments
 17     tail convexity: foreground fraction of the rightmost 20% of columns
@@ -29,9 +29,9 @@ index  definition (bbox = (x0, y0, w, h); A = mask area; P = perimeter;
 33     foreground mean intensity / 255
 34     foreground intensity std / 128
 35     min(color group count, 32) / 32
-36-37  topmost contour point relative to bbox
+36-37  topmost mask point relative to bbox
 38     upper triangle area / (w*h)  [x-extremes + topmost point]
-39-40  bottommost contour point relative to bbox
+39-40  bottommost mask point relative to bbox
 41     lower triangle area / (w*h)  [x-extremes + bottommost point]
 42     triangle similarity min(area)/max(area) (both zero -> 1)
 43-44  eye estimate: centroid of the darkest decile of the head band
@@ -51,7 +51,6 @@ whole pixels leaves the vector bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import itertools
 import math
 
@@ -72,31 +71,11 @@ COLOR_SLICE = slice(24, 36)
 GEOMETRY_SLICE = slice(36, 47)
 
 
-@dataclass(frozen=True)
-class TrianglePair:
-    """Extreme contour points and the two triangles they span."""
-
-    p_xmin: tuple[int, int]
-    p_xmax: tuple[int, int]
-    p_ymin: tuple[int, int]
-    p_ymax: tuple[int, int]
-    area_up: float
-    area_down: float
-
-
 def triangle_area(a, b, c) -> float:
     """Shoelace area; exact for integer vertices."""
     return abs(
         (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
     ) / 2.0
-
-
-def _extreme(pts: np.ndarray, axis: int, take_max: bool):
-    """Extreme point along an axis; ties take the smallest other coordinate."""
-    other = 1 - axis
-    key = -pts[:, axis] if take_max else pts[:, axis]
-    i = np.lexsort((pts[:, other], key))[0]
-    return (int(pts[i, 0]), int(pts[i, 1]))
 
 
 def find_head_side(mask: FishMask) -> str:
@@ -119,7 +98,9 @@ def extract_features(
 ) -> np.ndarray:
     """Compute the 47-value descriptor of a left-facing fish; ``idx`` is a
     full-frame array that holds ``to_indexed(img)`` at the mask's pixels (it
-    is read nowhere else). See the module docstring for layout."""
+    is read nowhere else). See the module docstring for layout. ``mask`` must
+    be one 4-connected component, as ``FishMask`` documents: the extreme
+    points and the hull's columns are read off its bbox crop."""
     if not img.pixels.shape[:2] == idx.shape == mask.bits.shape:
         raise InconsistentInputs("image, index and mask dimensions differ")
     if groups.pixel_count != mask.area:
@@ -157,7 +138,7 @@ def extract_features(
         f[6:14] /= rmax
 
     # solidity and extent
-    hull_area = _hull_area(cpts)
+    hull_area = _hull_area(bits)
     f[14] = 1.0 if hull_area <= 0.0 else min(1.0, A / hull_area)
     f[15] = A / (w * h)
 
@@ -195,16 +176,14 @@ def extract_features(
     f[34] = min(1.0, float(iv.std()) / 128.0)
     f[35] = min(groups.group_count, 32) / 32.0
 
-    # geometric parameters from the extreme-point triangles
-    tri = extreme_triangles(cpts)
-    f[36] = tri.p_ymin[0] / w
-    f[37] = tri.p_ymin[1] / h
-    f[38] = tri.area_up / (w * h)
-    f[39] = tri.p_ymax[0] / w
-    f[40] = tri.p_ymax[1] / h
-    f[41] = tri.area_down / (w * h)
-    big = max(tri.area_up, tri.area_down)
-    f[42] = 1.0 if big == 0.0 else min(tri.area_up, tri.area_down) / big
+    # the extreme-point triangles; an extreme is the first foreground pixel along its bbox edge
+    p_xmin, p_xmax = (0, int(np.argmax(bits[:, 0]))), (w - 1, int(np.argmax(bits[:, -1])))
+    p_ymin, p_ymax = (int(np.argmax(bits[0])), 0), (int(np.argmax(bits[-1])), h - 1)
+    area_up, area_down = triangle_area(p_xmin, p_xmax, p_ymin), triangle_area(p_xmin, p_xmax, p_ymax)
+    f[36], f[37], f[38] = p_ymin[0] / w, p_ymin[1] / h, area_up / (w * h)
+    f[39], f[40], f[41] = p_ymax[0] / w, p_ymax[1] / h, area_down / (w * h)
+    big = max(area_up, area_down)
+    f[42] = 1.0 if big == 0.0 else min(area_up, area_down) / big
 
     head_cols = max(1, (w + 2) // 4)  # round(w / 4)
     # the bbox's first column holds foreground, so both head bands are non-empty
@@ -218,8 +197,8 @@ def extract_features(
     my = np.flatnonzero(bits[:, :mouth_cols].any(axis=1))
     f[45] = float(my[-1] - my[0] + 1) / h
 
-    v1 = np.array(tri.p_xmin, dtype=np.float64) - tri.p_ymin
-    v2 = np.array(tri.p_xmax, dtype=np.float64) - tri.p_ymin
+    v1 = np.array(p_xmin, dtype=np.float64) - p_ymin
+    v2 = np.array(p_xmax, dtype=np.float64) - p_ymin
     n1, n2 = np.hypot(*v1), np.hypot(*v2)
     if n1 > 0 and n2 > 0:
         cos_a = min(1.0, max(-1.0, float(v1 @ v2) / (n1 * n2)))
@@ -229,23 +208,6 @@ def extract_features(
     if not np.all(np.isfinite(out)):
         raise InconsistentInputs("feature vector contains non-finite values")
     return out
-
-
-def extreme_triangles(cpts: np.ndarray) -> TrianglePair:
-    """Extreme points of (n, 2) integer ``(x, y)`` contour points, and the
-    areas the two x-extremes span with the topmost and the bottommost point."""
-    p_xmin = _extreme(cpts, 0, False)
-    p_xmax = _extreme(cpts, 0, True)
-    p_ymin = _extreme(cpts, 1, False)
-    p_ymax = _extreme(cpts, 1, True)
-    return TrianglePair(
-        p_xmin,
-        p_xmax,
-        p_ymin,
-        p_ymax,
-        triangle_area(p_xmin, p_xmax, p_ymin),
-        triangle_area(p_xmin, p_xmax, p_ymax),
-    )
 
 
 def _dorsum_ventral_means(px: np.ndarray, bits: np.ndarray, cy: float):
@@ -269,19 +231,18 @@ def _boundary_count(bits: np.ndarray) -> int:
     return int(np.count_nonzero(bits)) - int(np.count_nonzero(inner))
 
 
-def _hull_area(pts: np.ndarray) -> float:
-    """Convex hull area of (n, 2) integer points: Andrew's monotone chain
-    (1979) over each column's top and bottom point, then an exact integer
-    shoelace. Fewer than three points or a collinear set have no 2-D hull;
-    their area is 0."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    x, y = pts[order, 0], pts[order, 1]
-    # every other point of a column lies between its top and its bottom
-    top = np.flatnonzero(np.diff(x, prepend=x[0] - 1))
-    bottom = np.append(top[1:], x.size) - 1
+def _hull_area(bits: np.ndarray) -> float:
+    """Convex hull area of the foreground pixels of a bbox crop, in pixel
+    coordinates: Andrew's monotone chain (1979) over each column's top and
+    bottom pixel, then an exact integer shoelace. Every column must hold
+    foreground, as the crop of a single 4-connected component (``FishMask``)
+    does; a crop with an empty column is out of contract. Fewer than three
+    pixels or a collinear set have no 2-D hull; their area is 0."""
+    x = np.arange(bits.shape[1])
+    # every other pixel of a column lies between its top and its bottom
+    top, bottom = np.argmax(bits, axis=0), len(bits) - 1 - np.argmax(bits[::-1], axis=0)
     hull = []
-    for cut in (top, bottom[::-1]):  # tops left to right, then bottoms back
-        cx, cy = x[cut], y[cut]
+    for cx, cy in ((x, top), (x[::-1], bottom[::-1])):  # tops left to right, then bottoms back
         for _ in range(2):
             # throw away (after Akl & Toussaint 1978) each point on or inside
             # the chord of its chain neighbors: it lies in the hull of them

@@ -27,7 +27,7 @@ from .errors import (
 from .features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, extract_features, find_head_side
 from .imageio import RgbImage, decode_image, load_manifest, read_file, to_indexed, write_file
 from .mlp import MlpModel, TrainConfig
-from .preprocess import PreprocessConfig, _filter_and_unify, _normalize_rotation
+from .preprocess import PreprocessConfig, _normalize_rotation, filter_and_unify
 from .segment import FishMask, extract_mask, group_by_color, trace_contour
 
 MODEL_VERSION = 1
@@ -114,7 +114,7 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     """
     pre = config.preprocess
     # each stage hands on a box outside which its output is background: the next scans only it
-    unified, background, box = _staged("background", _filter_and_unify, img, pre.median_radius,
+    unified, background, box = _staged("background", filter_and_unify, img, pre.median_radius,
                                        pre.background_tolerance)
     rotated, box = _staged("rotation", _normalize_rotation, unified, background, box)
     mask = _staged("mask", extract_mask, rotated, background, config.fg_tolerance, box)

@@ -83,13 +83,10 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
     (ties broken by the lexicographically smallest (r, g, b)). Every filtered
     pixel within ``tolerance`` of it is replaced by it exactly.
 
-    Returns ``(image, background_color)``; the image is a new array.
+    Returns ``(image, background_color, box)``: the image is a new array,
+    background outside ``box`` (a pair of slices, or None when every pixel
+    of ``img`` is the background).
     """
-    return _filter_and_unify(img, radius, tolerance)[:2]
-
-
-def _filter_and_unify(img: RgbImage, radius: int, tolerance: float):
-    """:func:`filter_and_unify`, plus a box outside which the output is background, or None."""
     if not tolerance >= 0:  # NaN fails too
         raise InvalidConfig("tolerance must be >= 0")
     if img.width < 3 or img.height < 3:
@@ -128,7 +125,7 @@ def _filter_and_unify(img: RgbImage, radius: int, tolerance: float):
 def unify_background(img: RgbImage, cfg: PreprocessConfig):
     """Detect the background color and flatten everything near it:
     :func:`filter_and_unify` with radius 0. Returns ``(image, background_color)``."""
-    return filter_and_unify(img, 0, cfg.background_tolerance)
+    return filter_and_unify(img, 0, cfg.background_tolerance)[:2]
 
 
 def central_moments(ys, xs):

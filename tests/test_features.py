@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from fishid.features import (
     SHAPE_SLICE,
     SIZE_SLICE,
     extract_features,
-    extreme_triangles,
     find_head_side,
     triangle_area,
     write_features_csv,
@@ -72,14 +73,14 @@ class TestAnalyticCases:
         assert triangle_area((0, 5), (10, 5), (5, 0)) == 25.0
 
     def test_extreme_triangle_on_diamond(self):
-        pts = np.array([(0, 5), (5, 0), (10, 5), (5, 10)], dtype=np.int64)
-        tri = extreme_triangles(pts)
-        assert tri.p_xmin == (0, 5)
-        assert tri.p_xmax == (10, 5)
-        assert tri.p_ymin == (5, 0)
-        assert tri.p_ymax == (5, 10)
-        assert tri.area_up == 25.0
-        assert tri.area_down == 25.0
+        # the extremes of an 11x11 diamond are its corners (0, 5), (10, 5),
+        # (5, 0) and (5, 10): two triangles of area 25, a right apex angle
+        px = np.zeros((15, 15, 3), dtype=np.uint8)
+        yy, xx = np.mgrid[0:15, 0:15]
+        px[np.abs(xx - 7) + np.abs(yy - 7) <= 5] = (200, 40, 40)
+        f = extract_features(*shape_inputs(px, bg=(0, 0, 0)))
+        assert f[36:43].tolist() == [5 / 11, 0.0, 25 / 121, 5 / 11, 10 / 11, 25 / 121, 1.0]
+        assert f[46] == 0.5
 
     def test_upper_triangle_feature_on_diamond_mask(self):
         # diamond occupying an 11x11 bbox: triangles take a quarter each
@@ -124,47 +125,172 @@ def monotone_chain_area(points) -> float:
     return abs(twice) / 2.0
 
 
+def mask_of(rows):
+    """A bbox crop drawn as strings, ``#`` for foreground."""
+    return np.array([[c == "#" for c in row] for row in rows], dtype=bool)
+
+
+def pixels_of(bits):
+    """The (x, y) pixel coordinates of a crop's foreground."""
+    ys, xs = np.nonzero(bits)
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
 @st.composite
-def point_sets(draw):
-    """Small integer point sets: scattered (with duplicates on a small
-    grid), or all on one line; coordinates up to a 1600x820 frame's."""
-    bound = draw(st.sampled_from([3, 12, 1600]))
-    coord = st.integers(0, bound)
-    if draw(st.booleans()):
-        return draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
-    x0, y0 = draw(coord), draw(coord)
-    dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-    steps = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=20))
-    return [(x0 + t * dx, y0 + t * dy) for t in steps]
+def column_masks(draw):
+    """Crops in ``_hull_area``'s contract, every column holding foreground:
+    1 row, 1 column or up to 40x40, random fields of several densities
+    (often not connected), or one pixel per column (often collinear)."""
+    h = draw(st.sampled_from([1, draw(st.integers(1, 40))]))
+    w = draw(st.sampled_from([1, draw(st.integers(1, 40))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    ys = rng.integers(0, h, w) if draw(st.booleans()) else np.arange(w) * (h - 1) // max(w - 1, 1)
+    bits[ys, np.arange(w)] = True
+    return bits
 
 
 class TestHullArea:
-    @given(point_sets())
-    @example([(5, 5)])
-    @example([(0, 0), (7, 3)])
-    @example([(2, 2), (2, 2), (2, 2)])
-    @example([(0, 0), (1, 1), (2, 2), (1, 1), (3, 3)])
-    @example([(0, 0), (4, 0), (0, 3), (0, 3), (4, 0), (1, 1), (2, 0)])
-    def test_matches_monotone_chain(self, points):
-        pts = np.array(points, dtype=np.int64)
-        assert _hull_area(pts) == monotone_chain_area(points)
+    @given(column_masks())
+    @example(mask_of(["#"]))
+    @example(mask_of(["#..", ".#.", "..#"]))
+    @example(mask_of(["#", "#", "#"]))
+    @example(mask_of(["###", "#.#", "###"]))
+    def test_matches_monotone_chain(self, bits):
+        assert _hull_area(bits) == monotone_chain_area(pixels_of(bits))
 
-    @pytest.mark.parametrize("points, area", [
-        ([(4, 7)], 0.0),
-        ([(0, 0), (9, 4)], 0.0),
-        ([(0, 0), (2, 1), (4, 2), (6, 3), (2, 1)], 0.0),
-        ([(5, 0), (5, 9), (5, 2), (5, 9)], 0.0),
-        ([(0, 6), (8, 6), (3, 6), (1, 6)], 0.0),
-        ([(0, 9), (1, 8), (2, 7), (3, 6)], 0.0),
-        ([(0, 0), (0, 3), (4, 0), (4, 3), (2, 1), (2, 2), (1, 0), (3, 3)], 12.0),
-        ([(0, 0), (2, 0), (1, 1)], 1.0),
-        ([(0, 5), (1, 0), (1, 9), (2, 5)], 9.0),
+    @pytest.mark.parametrize("rows, area", [
+        (["#"], 0.0),
+        (["#.", ".#"], 0.0),
+        (["#..", "...", ".#.", "...", "..#"], 0.0),
+        (["#", ".", "#", "#"], 0.0),
+        (["####"], 0.0),
+        (["...#", "..#.", ".#..", "#..."], 0.0),
+        (["#####", "#...#", "#...#", "#####"], 12.0),
+        (["#.#", ".#."], 1.0),
+        ([".#.", "...", "...", "...", "...", "#.#", "...", "...", "...", ".#."], 9.0),
     ], ids=["one-point", "two-points", "collinear", "single-column", "single-row",
             "diagonal", "rectangle", "one-pixel-columns", "diamond"])
-    def test_known_areas(self, points, area):
-        """Sets with no 2-D hull, on which Qhull raised QhullError, have area
-        0; small hulls have their exact area."""
-        assert _hull_area(np.array(points, dtype=np.int64)) == area == monotone_chain_area(points)
+    def test_known_areas(self, rows, area):
+        """Pixel sets with no 2-D hull, on which Qhull raised QhullError,
+        have area 0; small hulls have their exact area."""
+        bits = mask_of(rows)
+        assert _hull_area(bits) == area == monotone_chain_area(pixels_of(bits))
+
+
+def contour_extremes(cpts):
+    """The contour rule, kept as an oracle: the extreme contour points along
+    each axis, ties taking the smallest other coordinate, found by
+    ``lexsort``. Returns ``(p_xmin, p_xmax, p_ymin, p_ymax)``."""
+    def extreme(axis, take_max):
+        key = -cpts[:, axis] if take_max else cpts[:, axis]
+        i = np.lexsort((cpts[:, 1 - axis], key))[0]
+        return (int(cpts[i, 0]), int(cpts[i, 1]))
+    return extreme(0, False), extreme(0, True), extreme(1, False), extreme(1, True)
+
+
+def contour_geometry(cpts, w, h, area, hull):
+    """Reference for f14, f36-42 and f46 from the contour's extremes and a
+    given hull area: the formulas of ``extract_features``."""
+    p_xmin, p_xmax, p_ymin, p_ymax = contour_extremes(cpts)
+    up, down = triangle_area(p_xmin, p_xmax, p_ymin), triangle_area(p_xmin, p_xmax, p_ymax)
+    f = np.zeros(FEATURE_COUNT, dtype=np.float64)
+    f[14] = 1.0 if hull <= 0.0 else min(1.0, area / hull)
+    f[36:42] = p_ymin[0] / w, p_ymin[1] / h, up / (w * h), p_ymax[0] / w, p_ymax[1] / h, down / (w * h)
+    f[42] = 1.0 if max(up, down) == 0.0 else min(up, down) / max(up, down)
+    v1 = np.array(p_xmin, dtype=np.float64) - p_ymin
+    v2 = np.array(p_xmax, dtype=np.float64) - p_ymin
+    n1, n2 = np.hypot(*v1), np.hypot(*v2)
+    if n1 > 0 and n2 > 0:
+        f[46] = math.acos(min(1.0, max(-1.0, float(v1 @ v2) / (n1 * n2)))) / math.pi
+    return np.clip(f, 0.0, 1.0)
+
+
+MASK_GEOMETRY = [14, *range(36, 43), 46]
+
+
+def check_mask_geometry(fg):
+    """Pass a boolean frame through ``extract_mask`` and check the kept
+    component: the contour holds every column's top and bottom pixel, and
+    the descriptor's solidity and extreme-point features equal the contour
+    rule's, with the hull of every foreground pixel."""
+    px = np.zeros((*fg.shape, 3), dtype=np.uint8)
+    px[fg] = (200, 40, 40)
+    img, idx, mask, contour, groups = shape_inputs(px, bg=(0, 0, 0))
+    bits = mask.crop(mask.bits)
+    h, w = bits.shape
+    x0, y0, _, _ = mask.bbox
+    cpts = contour.points - np.array([x0, y0], dtype=np.int64)
+    on_contour = set(map(tuple, cpts.tolist()))
+    for x in range(w):
+        ys = np.flatnonzero(bits[:, x])
+        assert {(x, int(ys[0])), (x, int(ys[-1]))} <= on_contour, f"column {x}"
+    hull = monotone_chain_area(pixels_of(bits))
+    assert _hull_area(bits) == hull
+    got = extract_features(img, idx, mask, contour, groups)
+    expected = contour_geometry(cpts, w, h, mask.area, hull)
+    assert got[MASK_GEOMETRY].tobytes() == expected[MASK_GEOMETRY].tobytes()
+
+
+@st.composite
+def component_frames(draw):
+    """Boolean frames of 1 row, 1 column or up to 40x40, with a margin of 0-2
+    background pixels: random fields near the square lattice's percolation
+    density, whose largest component has holes, bays and diagonal-only
+    contacts, or a filled box with random holes punched in it."""
+    h = draw(st.sampled_from([1, draw(st.integers(1, 40))]))
+    w = draw(st.sampled_from([1, draw(st.integers(1, 40))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        bits = rng.random((h, w)) < draw(st.sampled_from([0.5, 0.6, 0.7, 1.0]))
+    else:
+        bits = rng.random((h, w)) >= draw(st.sampled_from([0.05, 0.2]))
+        bits[[0, -1]] = True
+    bits[rng.integers(h), rng.integers(w)] = True
+    m = draw(st.integers(0, 2))
+    return np.pad(bits, m)
+
+
+def spiral(n):
+    """A one-pixel-wide square spiral in an n x n frame, walked inwards
+    clockwise with one background pixel between its turns."""
+    bits = np.zeros((n + 2, n + 2), dtype=bool)
+    bits[0] = bits[-1] = bits[:, 0] = bits[:, -1] = True  # a wall, cut off at the end
+    y, x, dy, dx = 1, 1, 0, 1
+    while True:
+        bits[y, x] = True
+        for _ in range(2):  # turn clockwise when the step after the next meets the path
+            if not bits[y + dy, x + dx] and not bits[y + 2 * dy, x + 2 * dx]:
+                break
+            dy, dx = dx, -dy
+        else:
+            return bits[1:-1, 1:-1]
+        y, x = y + dy, x + dx
+
+
+def gallery():
+    yy, xx = np.mgrid[0:41, 0:61]
+    comb = np.zeros((41, 61), dtype=bool)
+    comb[::2] = True  # every second row, joined by one column
+    comb[:, 0] = True
+    r = np.hypot(xx - 30, yy - 20)
+    rings = ((r.astype(int) % 4 < 2) | (xx == 30)) & (r < 19)  # joined through the centre
+    diamond = np.abs(xx - 30) + np.abs(yy - 20) <= 15
+    return {"comb": comb, "rings": rings, "spiral": spiral(31), "diamond": diamond}
+
+
+class TestMaskGeometry:
+    @settings(deadline=None, max_examples=400)
+    @example(np.ones((1, 1), dtype=bool))
+    @example(np.pad(np.ones((1, 9), dtype=bool), 1))
+    @example(np.pad(np.ones((9, 1), dtype=bool), 1))
+    @given(component_frames())
+    def test_extremes_and_hull_read_off_the_mask(self, fg):
+        check_mask_geometry(fg)
+
+    @pytest.mark.parametrize("name", ["comb", "rings", "spiral", "diamond"])
+    def test_gallery(self, name):
+        check_mask_geometry(gallery()[name])
 
 
 class TestDorsumVentralMeans:
@@ -346,6 +472,31 @@ DESCRIPTOR_SHA256 = {
     "Poison fish": "5a5b300bd782b0a00ca3718627bf97940839d135d9fa09c315b5a75971b41f58",
 }
 
+# the same descriptors value by value, as ``float.hex`` strings keyed
+# "family/seed/scale"; ``PYTHONPATH=src python tests/test_features.py``
+# rewrites it from the current code
+DESCRIPTOR_TABLE = os.path.join(os.path.dirname(__file__), "canonical_descriptors.json")
+
+
+def canonical_descriptors(spec):
+    """``{(seed, scale): descriptor}`` of FACING_SEEDS at scales 1.0 and 0.5
+    on the default canvas, in that order."""
+    cfg, pcfg = synthgen.SynthConfig(), PipelineConfig()
+    return {(seed, scale): analyze_image(synthgen.render_fish(spec, seed, cfg, scale), pcfg).features
+            for seed in FACING_SEEDS for scale in (1.0, 0.5)}
+
+
+def table_key(spec, seed, scale):
+    return f"{spec.name}/{seed}/{scale}"
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """Distance between two finite doubles in units in the last place."""
+    def ordinal(v):
+        i = int(np.float64(v).view(np.int64))
+        return i if i >= 0 else -(i & (2**63 - 1))
+    return abs(ordinal(a) - ordinal(b))
+
 
 @pytest.mark.parametrize("spec", synthgen.default_families(), ids=lambda s: s.name)
 class TestCanonicalFish:
@@ -354,13 +505,32 @@ class TestCanonicalFish:
         assert sides == ["left", "left", "right", "right"]
 
     def test_descriptor_digest_pinned(self, spec):
-        cfg, pcfg = synthgen.SynthConfig(), PipelineConfig()
         digest = hashlib.sha256()
-        for seed in FACING_SEEDS:
-            for scale in (1.0, 0.5):
-                img = synthgen.render_fish(spec, seed, cfg, scale)
-                digest.update(analyze_image(img, pcfg).features.tobytes())
+        for features in canonical_descriptors(spec).values():
+            digest.update(features.tobytes())
         assert digest.hexdigest() == DESCRIPTOR_SHA256[spec.name]
+
+    def test_descriptor_table_reproduces_digest(self, spec):
+        with open(DESCRIPTOR_TABLE) as fh:
+            table = json.load(fh)
+        digest = hashlib.sha256()
+        for seed, scale in canonical_descriptors(spec):
+            row = [float.fromhex(v) for v in table[table_key(spec, seed, scale)]]
+            digest.update(np.array(row, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == DESCRIPTOR_SHA256[spec.name]
+
+    def test_descriptor_values_match_table(self, spec):
+        """Exact, value by value: a mismatch names the family, seed, scale
+        and feature index, and how many ulps the value moved."""
+        with open(DESCRIPTOR_TABLE) as fh:
+            table = json.load(fh)
+        moved = []
+        for (seed, scale), features in canonical_descriptors(spec).items():
+            for i, (got, want) in enumerate(zip(features.tolist(), table[table_key(spec, seed, scale)])):
+                if got.hex() != want:
+                    moved.append(f"{spec.name}, seed {seed}, scale {scale}, f{i}: {got.hex()} against "
+                                 f"{want}, {ulps_apart(got, float.fromhex(want))} ulps")
+        assert not moved, "\n".join(moved)
 
     def test_analyzed_fish_faces_left(self, spec):
         cfg, pcfg = synthgen.SynthConfig(), PipelineConfig()
@@ -390,3 +560,11 @@ class TestCsvExport:
         # 9 significant digits
         third = float(row[2])
         assert abs(third - values[2]) < 1e-9
+
+
+if __name__ == "__main__":
+    rows = [f"  {json.dumps(table_key(spec, seed, scale))}: {json.dumps([v.hex() for v in f.tolist()])}"
+            for spec in synthgen.default_families()
+            for (seed, scale), f in canonical_descriptors(spec).items()]
+    with open(DESCRIPTOR_TABLE, "w") as fh:
+        fh.write("{\n" + ",\n".join(rows) + "\n}\n")

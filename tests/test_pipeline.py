@@ -148,8 +148,8 @@ class TestBoundedScans:
         stages, which scan the whole frame, must give the same result."""
         bounded = analysis_or_error(img)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "_filter_and_unify",
-                       lambda img, r, t: (*filter_and_unify(img, r, t), None))
+            mp.setattr(pipeline, "filter_and_unify",
+                       lambda img, r, t: (*filter_and_unify(img, r, t)[:2], None))
             mp.setattr(pipeline, "_normalize_rotation",
                        lambda img, bg, box: (normalize_rotation(img, bg), None))
             full = analysis_or_error(img)
