@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ import warnings
 from . import pipeline, synthgen
 from .errors import IoFailure, ToolkitError
 from .features import write_features_csv
-from .imageio import read_file, write_file
+from .imageio import read_text, write_file
 from .pipeline import (
     evaluate,
     extract_manifest_features,
@@ -45,93 +44,42 @@ def _parse_counts(pairs):
     return counts
 
 
-# per-command option tables: (flag, dest, type, default, help, repeatable)
-_OPTIONS = {
-    "gen-synth": [
-        ("--out", "out", str, None, "output directory", False),
-        ("--seed", "seed", int, 0, "corpus seed", False),
-        ("--train-count", "train_count", str, None, "FAMILY=N train override", True),
-        ("--test-count", "test_count", str, None, "FAMILY=N test override", True),
-    ],
-    "extract": [
-        ("--manifest", "manifest", str, None, "manifest CSV", False),
-        ("--out", "out", str, None, "output features CSV", False),
-    ],
-    "train": [
-        ("--manifest", "manifest", str, None, "manifest CSV", False),
-        ("--out", "out", str, None, "output model file", False),
-        ("--hidden", "hidden", int, pipeline.DEFAULT_HIDDEN, "hidden layer size", False),
-        ("--eta", "eta", float, pipeline.DEFAULT_TRAIN.eta, "learning rate", False),
-        ("--alpha", "alpha", float, pipeline.DEFAULT_TRAIN.alpha, "momentum factor", False),
-        ("--epsilon", "epsilon", float, pipeline.DEFAULT_TRAIN.epsilon,
-         "error-delta stop threshold", False),
-        ("--max-epochs", "max_epochs", int, pipeline.DEFAULT_TRAIN.max_epochs,
-         "training epoch cap", False),
-        ("--seed", "seed", int, pipeline.DEFAULT_TRAIN.seed, "training seed", False),
-    ],
-    "evaluate": [
-        ("--model", "model", str, None, "model file", False),
-        ("--manifest", "manifest", str, None, "manifest CSV", False),
-        ("--report", "report", str, None, "optional JSON report path", False),
-    ],
-    "classify": [
-        ("--model", "model", str, None, "model file", False),
-        ("--image", "image", str, None, "image file (PPM or BMP)", False),
-    ],
-}
-
-_REQUIRED = {
-    "gen-synth": ("out",),
-    "extract": ("manifest", "out"),
-    "train": ("manifest", "out"),
-    "evaluate": ("model", "manifest"),
-    "classify": ("model", "image"),
-}
-
-# the file a command writes after all its work: checked first, and opened first if not a file
-_WRITES = {"extract": "out", "train": "out", "evaluate": "report"}
+REQUIRED = object()  # the default of a key a command cannot run without
 
 
 def _read_config(path):
     values = {}
-    text = io.TextIOWrapper(io.BytesIO(read_file(path, "config")), encoding="utf-8")
-    try:
-        for ln, raw in enumerate(text, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ToolkitError(f"{path}:{ln}: expected key=value, got {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
-    except UnicodeDecodeError as exc:
-        raise ToolkitError(f"config {path} is not UTF-8: {exc}") from exc
+    for ln, raw in enumerate(read_text(path, "config").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ToolkitError(f"{path}:{ln}: expected key=value, got {line!r}")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
 def _merge_options(command, args):
     """Defaults < config file < explicit command line."""
-    table = _OPTIONS[command]
-    merged = {dest: default for _, dest, _, default, _, _ in table}
+    _, output, options = _COMMANDS[command]
+    merged = {key: default for key, _, default, _ in options}
     if args.config:
-        raw = _read_config(args.config)
-        known = {dest: (typ, repeat) for _, dest, typ, _, _, repeat in table}
-        for key, value in raw.items():
-            if key not in known:
+        types = {key: typ for key, typ, _, _ in options}
+        for key, value in _read_config(args.config).items():
+            if key not in types:
                 raise ToolkitError(f"unknown config key {key!r} for {command}")
-            typ, repeat = known[key]
+            typ = types[key]
             try:
-                merged[key] = value.split(",") if repeat else typ(value)
+                merged[key] = value.split(",") if typ is list else typ(value)
             except ValueError:
                 raise ToolkitError(f"config key {key!r} expects {typ.__name__}, got {value!r}") from None
-    for _, dest, _, _, _, _ in table:
-        given = getattr(args, dest, None)
-        if given is not None:
-            merged[dest] = given
-    for dest in _REQUIRED[command]:
-        if merged[dest] is None:
-            raise ToolkitError(f"{command} requires --{dest.replace('_', '-')}")
-    path = merged.get(_WRITES.get(command))
+    for key, _, _, _ in options:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+        if merged[key] is REQUIRED:
+            raise ToolkitError(f"{command} requires --{key.replace('_', '-')}")
+    path = merged.get(output)
     if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise IoFailure(f"cannot write {path}: its directory does not exist")
     if path and os.path.exists(path) and not os.path.isfile(path):
@@ -204,26 +152,55 @@ def _cmd_classify(opt) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen-synth": _cmd_gen_synth,
-    "extract": _cmd_extract,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "classify": _cmd_classify,
+# command: (handler, the key of the file it writes after all its work, checked
+# first and opened first if not a file, or None, [(key, type, default, help)]);
+# a key's flag is --key with dashes, and type list is a repeatable flag, a
+# comma-separated list in a config file
+_COMMANDS = {
+    "gen-synth": (_cmd_gen_synth, None, [
+        ("out", str, REQUIRED, "output directory"),
+        ("seed", int, 0, "corpus seed"),
+        ("train_count", list, None, "FAMILY=N train override"),
+        ("test_count", list, None, "FAMILY=N test override"),
+    ]),
+    "extract": (_cmd_extract, "out", [
+        ("manifest", str, REQUIRED, "manifest CSV"),
+        ("out", str, REQUIRED, "output features CSV"),
+    ]),
+    "train": (_cmd_train, "out", [
+        ("manifest", str, REQUIRED, "manifest CSV"),
+        ("out", str, REQUIRED, "output model file"),
+        ("hidden", int, pipeline.DEFAULT_HIDDEN, "hidden layer size"),
+        ("eta", float, pipeline.DEFAULT_TRAIN.eta, "learning rate"),
+        ("alpha", float, pipeline.DEFAULT_TRAIN.alpha, "momentum factor"),
+        ("epsilon", float, pipeline.DEFAULT_TRAIN.epsilon, "error-delta stop threshold"),
+        ("max_epochs", int, pipeline.DEFAULT_TRAIN.max_epochs, "training epoch cap"),
+        ("seed", int, pipeline.DEFAULT_TRAIN.seed, "training seed"),
+    ]),
+    "evaluate": (_cmd_evaluate, "report", [
+        ("model", str, REQUIRED, "model file"),
+        ("manifest", str, REQUIRED, "manifest CSV"),
+        ("report", str, None, "optional JSON report path"),
+    ]),
+    "classify": (_cmd_classify, None, [
+        ("model", str, REQUIRED, "model file"),
+        ("image", str, REQUIRED, "image file (PPM or BMP)"),
+    ]),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fishid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, table in _OPTIONS.items():
+    for command, (_, _, options) in _COMMANDS.items():
         sp = sub.add_parser(command)
         sp.add_argument("--config", default=None, help="key=value config file")
-        for flag, dest, typ, _, help_text, repeat in table:
-            if repeat:
-                sp.add_argument(flag, dest=dest, action="append", help=help_text)
+        for key, typ, _, help_text in options:
+            flag = "--" + key.replace("_", "-")
+            if typ is list:
+                sp.add_argument(flag, action="append", help=help_text)
             else:
-                sp.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
+                sp.add_argument(flag, type=typ, help=help_text)
     return parser
 
 
@@ -239,7 +216,7 @@ def main(argv=None) -> int:
         try:
             merged = _merge_options(args.command, args)
             with merged.pop("held", contextlib.nullcontext()):
-                rc = _HANDLERS[args.command](merged)
+                rc = _COMMANDS[args.command][0](merged)
             sys.stdout.flush()  # a closed pipe raises here, not at exit
             return rc
         except (ToolkitError, MemoryError) as exc:  # MemoryError: e.g. a huge --hidden

@@ -129,8 +129,6 @@ def fit(rows, max_depth: int = 8, min_leaf: int = 1) -> DecisionTree:
             sv = vals[order]
             sy = y[idx][order]
             cut = np.nonzero(sv[:-1] < sv[1:])[0]  # split after these positions
-            if cut.size == 0:
-                continue
             n_left = cut + 1
             n_right = n - n_left
             ok = (n_left >= min_leaf) & (n_right >= min_leaf)

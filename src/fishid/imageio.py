@@ -11,8 +11,8 @@ Two uncompressed interchange formats are supported:
   written as zeros.
 
 Manifests are plain CSV with the fixed header
-``path,family,poison,cluster,split`` (LF line endings, no quoting, so paths
-must not contain commas).
+``path,family,poison,cluster,split`` (written with LF line endings, read with
+universal newlines; no quoting, so paths must not contain commas).
 """
 
 from __future__ import annotations
@@ -99,6 +99,15 @@ def read_file(path, what) -> bytes:
     if not (data or stat.S_ISREG(mode)):
         raise IoFailure(f"reading {what} {path}: not a regular file or a pipe that gives bytes")
     return data
+
+
+def read_text(path, what) -> str:
+    """``read_file`` decoded as UTF-8 with universal newlines, as ``open(path)``
+    reads it; bytes that are not UTF-8 are a MalformedRow."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(read_file(path, what)), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{what} {path} is not UTF-8: {exc}") from exc
 
 
 def write_file(path, data: bytes, what) -> None:
@@ -255,11 +264,7 @@ def differs_window(pixels: np.ndarray, color, within=None):
 
 def load_manifest(path) -> list[ManifestEntry]:
     """Read a dataset manifest, validating rows and the label hierarchy."""
-    try:  # UTF-8 with universal newlines, as open(path) reads it
-        text = io.TextIOWrapper(io.BytesIO(read_file(path, "manifest")), encoding="utf-8").read()
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"manifest {path} is not UTF-8: {exc}") from exc
-    lines = text.split("\n")
+    lines = read_text(path, "manifest").split("\n")
     if not lines or lines[0].strip() != MANIFEST_HEADER:
         raise MalformedRow(f"manifest must start with header {MANIFEST_HEADER!r}")
     entries = []

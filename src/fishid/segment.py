@@ -172,7 +172,8 @@ def trace_contour(mask: FishMask) -> Contour:
     start = int(np.argmax(crop[0]))
     # a state is (pixel, backtrack direction); entry is from the west
     cur, k = start, 0
-    seen = {start << 3}
+    seen = bytearray(w * h)  # bit k of a pixel's byte: the trace stood there with backtrack k
+    seen[start] = 1
     points = [start]
     while True:
         j = _STEP[k << 8 | codes[cur]]
@@ -180,17 +181,14 @@ def trace_contour(mask: FishMask) -> Contour:
             break  # isolated pixel
         cur += offsets[j]
         k = _BACK[j]
-        state = cur << 3 | k
-        if state in seen:
+        if seen[cur] >> k & 1:
             break
-        seen.add(state)
+        seen[cur] |= 1 << k
         points.append(cur)
     if len(points) >= 2 and points[-1] == points[0]:
         points.pop()
     flat = np.array(points, dtype=np.int64)
     pts = np.stack((flat % w + x0, flat // w + y0), axis=1)
-    if len(pts) < 2:
-        return Contour(pts, 0.0)
     diffs = pts - np.roll(pts, 1, axis=0)  # includes the closing step
     perim = float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
     return Contour(pts, perim)

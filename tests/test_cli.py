@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import select
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import pytest
 
 import fishid
 from fishid import pipeline
-from fishid.cli import main
-from fishid.errors import IoFailure
-from fishid.imageio import MANIFEST_HEADER, load_manifest
+from fishid.cli import REQUIRED, _COMMANDS, _merge_options, _read_config, build_parser, main
+from fishid.errors import IoFailure, MalformedRow
+from fishid.imageio import MANIFEST_HEADER, load_manifest, read_text
 from fishid.pipeline import save_bundle, train_bundle
 
 
@@ -411,6 +412,86 @@ def test_missing_required_flag_fails(capsys):
     rc = main(["train", "--manifest", "m.csv"])  # --out missing
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+COMMAND_KEYS = [(command, key) for command, (_, _, options) in _COMMANDS.items()
+                for key, _, _, _ in options]
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def required_argv(command, tmp_path, skip=None):
+    """``command`` with every REQUIRED key but ``skip`` given by its flag."""
+    argv = [command]
+    for key, _, default, _ in _COMMANDS[command][2]:
+        if default is REQUIRED and key != skip:
+            argv += [flag(key), os.fspath(tmp_path / f"{key}.given")]
+    return argv
+
+
+@pytest.mark.parametrize("command, key", COMMAND_KEYS, ids=[f"{c}-{k}" for c, k in COMMAND_KEYS])
+def test_flag_and_config_key_give_the_same_option(command, key, tmp_path):
+    """A value given by --flag, by a dashed config key and by an underscored
+    config key merges to the same options, and replaces the default."""
+    typ = next(t for k, t, _, _ in _COMMANDS[command][2] if k == key)
+    values = {str: [os.fspath(tmp_path / "value.txt")], int: ["3"], float: ["0.25"],
+              list: ["Scombridae=1", "Poison fish=2"]}[typ]
+    base = required_argv(command, tmp_path, skip=key)
+    merged = [_merge_options(command, build_parser().parse_args(
+        base + [arg for v in values for arg in (flag(key), v)]))]
+    for spelling in (key.replace("_", "-"), key):
+        cfg = tmp_path / f"{spelling}.cfg"
+        cfg.write_text(f"{spelling}={','.join(values)}\n")
+        merged.append(_merge_options(command, build_parser().parse_args(
+            base + ["--config", os.fspath(cfg)])))
+    assert merged[0][key] == (values if typ is list else typ(values[0]))
+    assert merged[1] == merged[0] and merged[2] == merged[0]
+
+
+REQUIRED_KEYS = [(c, k) for c, k in COMMAND_KEYS
+                 if next(d for key, _, d, _ in _COMMANDS[c][2] if key == k) is REQUIRED]
+
+
+@pytest.mark.parametrize("command, key", REQUIRED_KEYS, ids=[f"{c}-{k}" for c, k in REQUIRED_KEYS])
+def test_each_missing_required_key_is_one_error_line(command, key, tmp_path, capsys):
+    rc = main(required_argv(command, tmp_path, skip=key))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {command} requires {flag(key)}\n"
+
+
+def test_required_keys_are_the_documented_ones():
+    assert REQUIRED_KEYS == [
+        ("gen-synth", "out"), ("extract", "manifest"), ("extract", "out"),
+        ("train", "manifest"), ("train", "out"), ("evaluate", "model"),
+        ("evaluate", "manifest"), ("classify", "model"), ("classify", "image"),
+    ]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_text_reads_as_lf(newline, tmp_path, cli_corpus):
+    manifest_lf = cli_corpus.read_text()
+    config_lf = "# training settings\nmanifest = m.csv\n\nmax-epochs=7\nseed=3\n"
+    for name, text in (("manifest.csv", manifest_lf), ("train.cfg", config_lf)):
+        (tmp_path / name).write_bytes(text.replace("\n", newline).encode("utf-8"))
+        assert read_text(tmp_path / name, "file") == text
+    assert load_manifest(tmp_path / "manifest.csv") == load_manifest(cli_corpus)
+    (tmp_path / "lf.cfg").write_text(config_lf)
+    assert _read_config(tmp_path / "train.cfg") == _read_config(tmp_path / "lf.cfg") == {
+        "manifest": "m.csv", "max_epochs": "7", "seed": "3"}
+
+
+@pytest.mark.parametrize("what", ["manifest", "config"])
+def test_text_that_is_not_utf8_is_a_malformed_row_naming_the_file(what, tmp_path, capsys):
+    path = tmp_path / f"latin1.{what}"
+    path.write_bytes(MANIFEST_HEADER.encode() + b"\ncaf\xe9,a,0,b,train\n")
+    read = load_manifest if what == "manifest" else _read_config
+    with pytest.raises(MalformedRow, match=re.escape(f"{what} {path} is not UTF-8: ")):
+        read(path)
+    if what == "config":
+        rc = main(["train", "--config", os.fspath(path)])
+        assert one_error_line(capsys, rc).startswith(f"error: config {path} is not UTF-8: ")
 
 
 def test_evaluate_missing_model_fails(cli_corpus, capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+import fishid
 from fishid import synthgen
 from fishid.errors import EmptyForeground, InvalidConfig
 from fishid.imageio import RgbImage, planes, sq_distance
@@ -493,6 +497,41 @@ class TestTraceContour:
         assert got.points.shape == want.points.shape
         assert got.points.tobytes() == want.points.tobytes()
         assert got.perimeter == want.perimeter
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_comb_frame_memory_is_bounded(self):
+        """A 1600x820 comb (every second row black, joined by one column) has a
+        contour of 1.3M points that visits most pixels twice; the visited states
+        take one byte per bbox pixel, so the analysis grows the peak resident set
+        by about 130 MB, not the 235 MB that a set of (pixel, backtrack) states
+        took. The child reads VmHWM, its own peak: on Linux its ru_maxrss also
+        holds the peak of the process that started it, which can hide the growth."""
+        code = """
+import hashlib
+import numpy as np
+from fishid import pipeline
+from fishid.imageio import RgbImage
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+px = np.full((820, 1600, 3), 255, dtype=np.uint8)
+px[1:-2:2, :-2] = 0
+px[1:-2, 0] = 0
+rss0 = peak_kb()
+analysis = pipeline.analyze_image(RgbImage(px), pipeline.PipelineConfig())
+grown_kb = peak_kb() - rss0
+print(grown_kb, len(analysis.contour.points), hashlib.sha256(analysis.features.tobytes()).hexdigest())
+"""
+        src = os.path.dirname(os.path.dirname(fishid.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # a frame this large is byte-reproducible only with BLAS on one thread
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=300).stdout.split()
+        grown_kb, points, digest = int(out[0]), int(out[1]), out[2]
+        assert points == 1302338
+        assert digest == "cba913184223c97c2c5977649b69e3bcf95f2a5b2068ee1c5a778916d2fb6763"
+        assert grown_kb < 180 * 1024, f"the peak resident set grew by {grown_kb / 1024:.0f} MB"
 
 
 class TestDivideSegments:
