@@ -1,5 +1,5 @@
 """Binary decision tree over score vectors, plus the label registry that
-expands a terminal class into its (cluster, poison, family) hierarchy.
+expands a terminal class into its hierarchical label.
 
 Induction is greedy: at each node every midpoint between consecutive distinct
 sorted feature values is a candidate threshold, and the (feature, threshold)
@@ -56,15 +56,15 @@ class LabelRegistry:
     """Ordered terminal classes and their hierarchy entries."""
 
     classes: tuple[str, ...]
-    entries: tuple[tuple[str, bool, str], ...]  # (cluster, poison, family)
+    entries: tuple[HierarchicalLabel, ...]
 
     @classmethod
     def from_rows(cls, rows) -> "LabelRegistry":
         """Build from (family, poison, cluster) rows; classes are sorted by
         name so output-unit assignment is stable across runs."""
-        seen: dict[str, tuple[str, bool, str]] = {}
+        seen: dict[str, HierarchicalLabel] = {}
         for family, poison, cluster in rows:
-            entry = (cluster, bool(poison), "" if poison else family)
+            entry = HierarchicalLabel(cluster, bool(poison), "" if poison else family)
             prev = seen.get(family)
             if prev is None:
                 seen[family] = entry
@@ -85,8 +85,7 @@ class LabelRegistry:
     def label(self, class_index: int) -> HierarchicalLabel:
         if not 0 <= class_index < len(self.classes):
             raise UnknownClass(f"class index {class_index} outside the registry")
-        cluster, poison, family = self.entries[class_index]
-        return HierarchicalLabel(cluster, poison, family)
+        return self.entries[class_index]
 
 
 def gini(labels) -> float:
@@ -117,9 +116,6 @@ def fit(rows, max_depth: int = 8, min_leaf: int = 1) -> DecisionTree:
     n_classes = int(y.max()) + 1
     nodes: list[TreeNode] = []
 
-    def majority(idx) -> int:
-        return int(np.argmax(np.bincount(y[idx], minlength=n_classes)))
-
     def best_split(idx):
         best = None  # (weighted_gini, feature, threshold)
         n = idx.size
@@ -135,9 +131,7 @@ def fit(rows, max_depth: int = 8, min_leaf: int = 1) -> DecisionTree:
             if not ok.any():
                 continue
             cut, n_left, n_right = cut[ok], n_left[ok], n_right[ok]
-            one_hot = np.zeros((n, n_classes), dtype=np.float64)
-            one_hot[np.arange(n), sy] = 1.0
-            cum = np.cumsum(one_hot, axis=0)
+            cum = np.cumsum(np.eye(n_classes)[sy], axis=0)
             left_counts = cum[cut]
             right_counts = cum[-1] - left_counts
             gl = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
@@ -153,12 +147,10 @@ def fit(rows, max_depth: int = 8, min_leaf: int = 1) -> DecisionTree:
         node_id = len(nodes)
         nodes.append(TreeNode())  # placeholder
         labels = y[idx]
-        if (labels == labels[0]).all() or depth >= max_depth or idx.size < 2 * min_leaf:
-            nodes[node_id] = TreeNode(leaf=majority(idx))
-            return node_id
-        best = best_split(idx)
+        stop = (labels == labels[0]).all() or depth >= max_depth or idx.size < 2 * min_leaf
+        best = None if stop else best_split(idx)
         if best is None:
-            nodes[node_id] = TreeNode(leaf=majority(idx))
+            nodes[node_id] = TreeNode(leaf=int(np.argmax(np.bincount(labels, minlength=n_classes))))
             return node_id
         _, feat, thr = best
         go_left = X[idx, feat] <= thr

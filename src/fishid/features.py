@@ -130,7 +130,7 @@ def extract_features(
     dxc = cpts[:, 0] - cxl
     dyc = cpts[:, 1] - cyl
     radii = np.hypot(dxc, dyc)
-    rmax = float(radii.max()) if radii.size else 0.0
+    rmax = float(radii.max())  # a contour holds at least its start pixel
     if rmax > 0:
         ang = np.mod(np.arctan2(dyc, dxc) + 2.0 * math.pi, 2.0 * math.pi)
         sector = np.minimum((ang // (math.pi / 4.0)).astype(np.int64), 7)

@@ -170,15 +170,20 @@ def _momentum_step(w, m, g, step, cfg: TrainConfig) -> None:
     w += m
 
 
-def backward(model: MlpModel, sample: TrainingSample):
-    """Exact gradient of the per-sample error; does not mutate the model."""
+def _checked(model: MlpModel, sample: TrainingSample):
+    """``(xb, d)``: the sample's bias-augmented float64 input and its float64 target."""
     x = np.asarray(sample.x, dtype=np.float64)
     d = np.asarray(sample.target, dtype=np.float64)
     if x.shape != (model.layer_sizes[0],) or d.shape != (model.layer_sizes[2],):
         raise DimensionMismatch("sample does not match the model architecture")
+    return np.append(x, 1.0), d
+
+
+def backward(model: MlpModel, sample: TrainingSample):
+    """Exact gradient of the per-sample error; does not mutate the model."""
     net = _Net(*model.weights)
     with np.errstate(over="ignore"):
-        net.gradient(np.append(x, 1.0), d)
+        net.gradient(*_checked(model, sample))
     return [net.g0, net.g1]
 
 
@@ -201,12 +206,7 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
     samples = list(samples)
     if not samples:
         raise EmptyTrainingSet("no training samples")
-    xs = [np.asarray(s.x, dtype=np.float64) for s in samples]
-    ds = [np.asarray(s.target, dtype=np.float64) for s in samples]
-    for x, d in zip(xs, ds):
-        if x.shape != (model.layer_sizes[0],) or d.shape != (model.layer_sizes[2],):
-            raise DimensionMismatch("sample does not match the model architecture")
-    xbs = [np.append(x, 1.0) for x in xs]
+    pairs = [_checked(model, s) for s in samples]
     (w, (w0, w1)), (m, (m0, m1)) = _flat(model.weights), _flat(model.momentum)
     net, step = _Net(w0, w1), np.empty_like(w)
     rng = np.random.default_rng(cfg.seed)
@@ -216,7 +216,7 @@ def train(model: MlpModel, samples, cfg: TrainConfig) -> TrainReport:
             for _ in range(cfg.max_epochs):
                 total = 0.0
                 for i in rng.permutation(len(samples)).tolist():
-                    err = net.gradient(xbs[i], ds[i])
+                    err = net.gradient(*pairs[i])
                     if not math.isfinite(err):
                         raise NonFiniteError(f"sample error diverged to {err}")
                     total += err

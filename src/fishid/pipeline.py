@@ -8,7 +8,7 @@ round-trip floats), so identical bundles serialize to identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import json
 import os
 
@@ -60,10 +60,8 @@ class ImageAnalysis:
     reversed views of the unmirrored frames, not copies."""
 
     image: RgbImage  # after filtering, background unification, rotation
-    background: tuple[int, int, int]
     mask: object
     contour: object
-    groups: object
     features: np.ndarray
 
 
@@ -128,7 +126,7 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     idx = np.zeros(mask.bits.shape, dtype=np.uint8)
     mask.crop(idx)[:] = to_indexed(RgbImage(mask.crop(rotated.pixels)))
     feats = _staged("features", extract_features, rotated, idx, mask, contour, groups)
-    return ImageAnalysis(rotated, background, mask, contour, groups, feats)
+    return ImageAnalysis(rotated, mask, contour, feats)
 
 
 def _read_image(path) -> RgbImage:
@@ -196,8 +194,7 @@ def train_bundle(
     config = PipelineConfig()
     X = _featurize(train_entries, manifest_path, config)
     labels = [registry.index_of(e.family) for e in train_entries]
-    targets = np.zeros((len(train_entries), len(registry)), dtype=np.float64)
-    targets[np.arange(len(labels)), labels] = 1.0
+    targets = np.eye(len(registry))[labels]
 
     samples = [mlp.TrainingSample(x, d) for x, d in zip(X, targets)]
     mlp.train(model, samples, train_cfg)
@@ -226,7 +223,7 @@ def evaluate(bundle: TrainedBundle, manifest_path) -> EvalReport:
         row = confusion[c, :].sum()
         precision.append(float(confusion[c, c] / col) if col else 0.0)
         recall.append(float(confusion[c, c] / row) if row else 0.0)
-    poison_idx = [c for c in range(n) if bundle.registry.entries[c][1]]
+    poison_idx = [c for c, entry in enumerate(bundle.registry.entries) if entry.poison]
     poison_total = int(confusion[poison_idx, :].sum()) if poison_idx else 0
     if poison_total:
         hit = int(confusion[np.ix_(poison_idx, poison_idx)].sum())
@@ -279,11 +276,6 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def _bundle_to_doc(bundle: TrainedBundle) -> dict:
-    hierarchy = {}
-    for name, (cluster, poison, family) in zip(
-        bundle.registry.classes, bundle.registry.entries
-    ):
-        hierarchy[name] = {"cluster": cluster, "poison": poison, "family": family}
     nodes = []
     for node in bundle.tree.nodes:
         if node.is_leaf:
@@ -296,7 +288,10 @@ def _bundle_to_doc(bundle: TrainedBundle) -> dict:
         "version": MODEL_VERSION,
         "feature_layout_version": FEATURE_LAYOUT_VERSION,
         "classes": list(bundle.registry.classes),
-        "hierarchy": hierarchy,
+        "hierarchy": {
+            name: asdict(entry)
+            for name, entry in zip(bundle.registry.classes, bundle.registry.entries)
+        },
         "mlp": {
             "layer_sizes": list(bundle.mlp.layer_sizes),
             "weights": [w.tolist() for w in bundle.mlp.weights],
@@ -344,7 +339,7 @@ def load_bundle(path) -> TrainedBundle:
     try:
         classes = tuple(str(c) for c in doc["classes"])
         entries = tuple(
-            (str(h["cluster"]), bool(h["poison"]), str(h["family"]))
+            HierarchicalLabel(str(h["cluster"]), bool(h["poison"]), str(h["family"]))
             for h in (doc["hierarchy"][c] for c in classes)
         )
         layer_sizes = tuple(int(s) for s in doc["mlp"]["layer_sizes"])
@@ -369,18 +364,14 @@ def load_bundle(path) -> TrainedBundle:
         raise CorruptModel("model file is not what save_bundle writes")
     if len(set(classes)) != len(classes):  # index_of would find only the first
         raise CorruptModel("class names repeat")
-    if len(layer_sizes) != 3 or any(s < 1 for s in layer_sizes):
-        raise CorruptModel(f"bad layer sizes {layer_sizes}")
-    n_in, n_hidden, n_out = layer_sizes
-    if n_in != FEATURE_COUNT:
-        raise CorruptModel(f"input layer size {n_in}, the descriptor has {FEATURE_COUNT}")
-    expected = [(n_hidden, n_in + 1), (n_out, n_hidden + 1)]
-    if [w.shape for w in weights] != expected:
+    n_hidden = layer_sizes[1] if len(layer_sizes) == 3 else 0
+    if not (n_hidden >= 1 and layer_sizes == (FEATURE_COUNT, n_hidden, len(classes))):
+        raise CorruptModel(f"layer sizes {layer_sizes}: need the input layer {FEATURE_COUNT}, "
+                           f"a hidden layer >= 1 and one output per class ({len(classes)})")
+    if [w.shape for w in weights] != [(n_hidden, FEATURE_COUNT + 1), (len(classes), n_hidden + 1)]:
         raise CorruptModel("weight shapes do not match the layer sizes")
     if any(not np.all(np.isfinite(w)) for w in weights):
         raise CorruptModel("weights contain non-finite values")
-    if n_out != len(classes):
-        raise CorruptModel("output layer size differs from the class count")
     if not nodes:
         raise CorruptModel("tree has no nodes")
     parents = [0] * len(nodes)
@@ -393,7 +384,7 @@ def load_bundle(path) -> TrainedBundle:
             # also rules out cycles that would hang predict_class
             if not (i < node.left < len(nodes) and i < node.right < len(nodes)):
                 raise CorruptModel(f"node {i} child index out of order or range")
-            if not 0 <= node.feature < n_out:
+            if not 0 <= node.feature < len(classes):
                 raise CorruptModel(f"node {i} feature index out of range")
             if not np.isfinite(node.threshold):
                 raise CorruptModel(f"node {i} threshold is not finite")

@@ -161,6 +161,10 @@ class TestRegistry:
         assert label.family == ""
         assert label.cluster == "poison"
 
+    def test_label_is_the_stored_entry(self):
+        reg = LabelRegistry.from_rows(self.rows())
+        assert all(reg.label(i) is reg.entries[i] for i in range(len(reg)))
+
     def test_unknown_index(self):
         reg = LabelRegistry.from_rows(self.rows())
         with pytest.raises(UnknownClass):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fishid import dtree, mlp, pipeline
 from fishid.cli import _merge_options, _read_config, build_parser
-from fishid.dtree import LabelRegistry
+from fishid.dtree import HierarchicalLabel, LabelRegistry
 from fishid.errors import CorruptModel, ToolkitError
 from fishid.features import FEATURE_COUNT
 from fishid.imageio import MANIFEST_HEADER, RgbImage, decode_image, encode_bmp, encode_ppm, load_manifest
@@ -112,7 +112,8 @@ def bundles(draw):
     n_out, n_hidden = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=n_out, max_size=n_out,
                           unique=True))
-    entries = [(draw(st.text(max_size=4)), draw(st.booleans()), draw(st.text(max_size=4)))
+    entries = [HierarchicalLabel(draw(st.text(max_size=4)), draw(st.booleans()),
+                                 draw(st.text(max_size=4)))
                for _ in names]
     weights = [np.array(draw(st.lists(edge_floats, min_size=r * c, max_size=r * c)),
                         dtype=np.float64).reshape(r, c)

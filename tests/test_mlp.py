@@ -323,6 +323,18 @@ class TestTrain:
         for a, b in zip(trained.weights + trained.momentum, stepped.weights + stepped.momentum):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("x, d", [([0.5], [1.0]), ([0.5, 0.5], [])],
+                             ids=["short-x", "short-target"])
+    def test_train_and_backward_reject_a_wrong_sample_alike(self, x, d):
+        cfg = TrainConfig(seed=0)
+        m = mlp.init((2, 2, 1), cfg)
+        sample = TrainingSample(np.array(x), np.array(d))
+        with pytest.raises(DimensionMismatch) as by_backward:
+            mlp.backward(m, sample)
+        with pytest.raises(DimensionMismatch) as by_train:
+            mlp.train(m, [sample], cfg)
+        assert str(by_train.value) == str(by_backward.value)
+
     def test_empty_training_set(self):
         m = mlp.init((2, 2, 1), TrainConfig(seed=0))
         with pytest.raises(EmptyTrainingSet):

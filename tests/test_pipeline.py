@@ -259,6 +259,14 @@ class TestPersistence:
         assert loaded.registry == small_bundle.registry
         assert json.loads(p.read_text())["feature_layout_version"] == FEATURE_LAYOUT_VERSION
 
+    def test_hierarchy_reloads_as_labels(self, small_bundle, tmp_path):
+        p = tmp_path / "model.json"
+        save_bundle(small_bundle, p)
+        entries = load_bundle(p).registry.entries
+        assert entries == small_bundle.registry.entries
+        assert all(type(e) is dtree.HierarchicalLabel for e in entries)
+        assert any(e.poison and e.family == "" for e in entries)
+
     def test_version_mismatch(self, small_bundle, tmp_path):
         p = tmp_path / "model.json"
         save_bundle(small_bundle, p)
@@ -334,6 +342,26 @@ class TestPersistence:
             doc["mlp"]["layer_sizes"][0] = 3
             doc["mlp"]["weights"][0] = [row[:3] + row[-1:] for row in doc["mlp"]["weights"][0]]
         with pytest.raises(CorruptModel, match="input layer"):
+            load_bundle(_edited_model(small_bundle, tmp_path, edit))
+
+    @pytest.mark.parametrize("shape", ["hidden-0", "two-sizes", "four-sizes", "outputs-not-classes"])
+    def test_network_shape_must_match(self, small_bundle, tmp_path, shape):
+        def edit(doc):  # each with the weights cut to match
+            net = doc["mlp"]
+            sizes, (w0, w1) = net["layer_sizes"], net["weights"]
+            if shape == "hidden-0":
+                sizes[1] = 0
+                net["weights"] = [[], [row[-1:] for row in w1]]
+            elif shape == "two-sizes":
+                net["layer_sizes"] = [sizes[0], sizes[2]]
+                net["weights"] = [w0[: sizes[2]]]
+            elif shape == "four-sizes":
+                net["layer_sizes"] = [sizes[0], sizes[1], sizes[1], sizes[2]]
+                net["weights"] = [w0, [[0.0] * (sizes[1] + 1)] * sizes[1], w1]
+            else:
+                sizes[2] -= 1
+                net["weights"] = [w0, w1[:-1]]
+        with pytest.raises(CorruptModel, match="layer sizes"):
             load_bundle(_edited_model(small_bundle, tmp_path, edit))
 
     def test_nan_background_tolerance(self, small_bundle, tmp_path):
