@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import InconsistentInputs
 from .imageio import RgbImage, write_file
-from .preprocess import central_moments
+from .preprocess import central_moments, pixel_coords
 from .segment import ColorGroups, Contour, FishMask
 
 FEATURE_COUNT = 47
@@ -100,7 +100,7 @@ def extract_features(
     full-frame array that holds ``to_indexed(img)`` at the mask's pixels (it
     is read nowhere else). See the module docstring for layout. ``mask`` must
     be one 4-connected component, as ``FishMask`` documents: the extreme
-    points and the hull's columns are read off its bbox crop."""
+    points are read off its bbox crop."""
     if not img.pixels.shape[:2] == idx.shape == mask.bits.shape:
         raise InconsistentInputs("image, index and mask dimensions differ")
     if groups.pixel_count != mask.area:
@@ -112,8 +112,10 @@ def extract_features(
     P = contour.perimeter
 
     bits = mask.crop(mask.bits)
-    cxl, cyl, s20, s02, s11 = central_moments(*np.nonzero(bits))  # bbox-local
+    ys, xs = pixel_coords(bits)  # bbox-local, row-major
+    cxl, cyl, s20, s02, s11 = central_moments(ys, xs)
     ib = mask.crop(idx)
+    iv = ib[bits]  # in the same order
     cpts = contour.points - np.array([x0, y0], dtype=np.int64)
 
     f = np.zeros(FEATURE_COUNT, dtype=np.float64)
@@ -171,7 +173,6 @@ def extract_features(
     f[24:27] = dmean
     f[27:30] = vmean
     f[30:33] = (dmean - vmean + 1.0) / 2.0
-    iv = ib[bits]
     f[33] = float(iv.sum() / A) / 255.0
     f[34] = min(1.0, float(iv.std()) / 128.0)
     f[35] = min(groups.group_count, 32) / 32.0
@@ -186,10 +187,12 @@ def extract_features(
     f[42] = 1.0 if big == 0.0 else min(area_up, area_down) / big
 
     head_cols = max(1, (w + 2) // 4)  # round(w / 4)
-    # the bbox's first column holds foreground, so both head bands are non-empty
-    hy, hx = np.nonzero(bits[:, :head_cols])
+    # the head band's pixels in row-major order, as np.nonzero of its columns gives
+    # them; the bbox's first column holds foreground, so the band is non-empty
+    head = xs < head_cols
+    hy, hx = ys[head], xs[head]
     n_dark = max(1, hy.size // 10)
-    order = np.argsort(ib[hy, hx], kind="stable")[:n_dark]
+    order = np.argsort(iv[head], kind="stable")[:n_dark]
     f[43] = float(hx[order].sum() / n_dark) / w
     f[44] = float(hy[order].sum() / n_dark) / h
 
@@ -232,21 +235,23 @@ def _boundary_count(bits: np.ndarray) -> int:
 
 
 def _hull_area(bits: np.ndarray) -> float:
-    """Convex hull area of the foreground pixels of a bbox crop, in pixel
-    coordinates: Andrew's monotone chain (1979) over each column's top and
-    bottom pixel, then an exact integer shoelace. Every column must hold
-    foreground, as the crop of a single 4-connected component (``FishMask``)
-    does; a crop with an empty column is out of contract. Fewer than three
-    pixels or a collinear set have no 2-D hull; their area is 0."""
-    x = np.arange(bits.shape[1])
-    # every other pixel of a column lies between its top and its bottom
-    top, bottom = np.argmax(bits, axis=0), len(bits) - 1 - np.argmax(bits[::-1], axis=0)
+    """Convex hull area of the foreground pixels of a 2-D mask, in pixel
+    coordinates: Andrew's monotone chain (1979) over each row's first and
+    last pixel, with the row number as the chain's x, then an exact integer
+    shoelace (swapping the axes keeps the area). Rows without foreground are
+    left out. Fewer than three pixels or a collinear set have no 2-D hull;
+    their area is 0."""
+    y = np.arange(bits.shape[0])
+    # every other pixel of a row lies between its ends; argmax along a row reads it contiguously
+    first, last = np.argmax(bits, axis=1), bits.shape[1] - 1 - np.argmax(bits[:, ::-1], axis=1)
+    some = bits[y, first]  # an empty row's argmax points at a background pixel
+    y, first, last = y[some], first[some], last[some]
     hull = []
-    for cx, cy in ((x, top), (x[::-1], bottom[::-1])):  # tops left to right, then bottoms back
+    for cx, cy in ((y, first), (y[::-1], last[::-1])):  # first ends down, then last ends back up
         for _ in range(2):
             # throw away (after Akl & Toussaint 1978) each point on or inside
             # the chord of its chain neighbors: it lies in the hull of them
-            # and its column's other end
+            # and its row's other end
             turn = (cx[1:-1] - cx[:-2]) * (cy[2:] - cy[:-2]) - (cy[1:-1] - cy[:-2]) * (cx[2:] - cx[:-2])
             keep = np.ones(cx.size, dtype=bool)
             keep[1:-1] = turn > 0

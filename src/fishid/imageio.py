@@ -43,6 +43,8 @@ MANIFEST_HEADER = "path,family,poison,cluster,split"
 # intensity index weights (ITU luminance); round-half-up keeps equal-channel
 # grays at their own value for every v in 0..255
 _LUMA = np.array([0.299, 0.587, 0.114])
+# pixels per band of to_indexed: its float64 temporaries stay within the L2 cache
+_INDEX_BAND_PIXELS = 1 << 14
 
 # P6, then width, height and maxval: each number follows whitespace or '#'
 # comments and ends at one whitespace byte, the maxval's being the last byte
@@ -217,9 +219,19 @@ def encode_bmp(img: RgbImage) -> bytes:
 
 def to_indexed(img: RgbImage) -> np.ndarray:
     """Map each pixel to its 0..255 intensity index (black .. white); returns
-    an (h, w) uint8 array."""
-    lum = img.pixels.astype(np.float64) @ _LUMA
-    return np.floor(lum + 0.5).astype(np.uint8)  # in [0, 255] for uint8 channels
+    an (h, w) uint8 array, the bytes of ``floor(pixels.astype(float64) @ _LUMA
+    + 0.5)``. That product is one BLAS dot per image row, whose result does not
+    depend on where the row sits in memory, so it runs over bands of whole rows
+    of about ``_INDEX_BAND_PIXELS``: no temporary grows with the image."""
+    px = img.pixels
+    h, w, _ = px.shape
+    out = np.empty((h, w), dtype=np.uint8)
+    step = max(1, _INDEX_BAND_PIXELS // w)
+    for r in range(0, h, step):
+        lum = px[r : r + step].astype(np.float64) @ _LUMA
+        lum += 0.5
+        out[r : r + step] = np.floor(lum, out=lum)  # in [0, 255] for uint8 channels
+    return out
 
 
 def filled(h: int, w: int, color) -> np.ndarray:

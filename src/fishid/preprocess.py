@@ -128,6 +128,15 @@ def unify_background(img: RgbImage, cfg: PreprocessConfig):
     return filter_and_unify(img, 0, cfg.background_tolerance)[:2]
 
 
+def pixel_coords(bits):
+    """``np.nonzero(bits)`` of a 2-D mask as float64 ``(ys, xs)``, gathered
+    from broadcast row and column numbers: no int64 coordinates are made."""
+    h, w = bits.shape
+    ys = np.broadcast_to(np.arange(h, dtype=np.float64)[:, np.newaxis], bits.shape)
+    xs = np.broadcast_to(np.arange(w, dtype=np.float64), bits.shape)
+    return ys[bits], xs[bits]
+
+
 def central_moments(ys, xs):
     """Centroid and central second moments of a pixel set, given in
     coordinates local to its bounding box (each minimum is 0), which keeps
@@ -135,13 +144,13 @@ def central_moments(ys, xs):
 
     Returns ``(cx, cy, s20, s02, s11)``: the centroid in those coordinates
     and the unnormalized sums of ``dx*dx``, ``dy*dy`` and ``dx*dy`` about it.
+    Integer or float64 coordinates give the same bytes: every partial sum of
+    whole numbers below 2**53 is exact either way.
     """
-    lx = xs.astype(np.float64)
-    ly = ys.astype(np.float64)
-    cx = lx.sum() / lx.size
-    cy = ly.sum() / ly.size
-    lx -= cx
-    ly -= cy
+    cx = xs.sum() / xs.size
+    cy = ys.sum() / ys.size
+    lx = xs - cx
+    ly = ys - cy
     return float(cx), float(cy), float(lx @ lx), float(ly @ ly), float(lx @ ly)
 
 
@@ -166,7 +175,7 @@ def _normalize_rotation(img: RgbImage, background_color, within):
     bh, bw, _ = box_px.shape
     y0, x0 = box[0].start, box[1].start
     p, (c0, c1, c2) = planes(box_px), background_color
-    ys, xs = np.nonzero((p[0] != c0) | (p[1] != c1) | (p[2] != c2))
+    ys, xs = pixel_coords((p[0] != c0) | (p[1] != c1) | (p[2] != c2))
     cx, cy, s20, s02, s11 = central_moments(ys, xs)
     theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     if abs(theta) < _ROTATION_SKIP_RAD:

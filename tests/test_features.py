@@ -26,6 +26,7 @@ from fishid.imageio import RgbImage, to_indexed
 from fishid.pipeline import PipelineConfig, analyze_image
 from fishid.preprocess import central_moments
 from fishid.segment import ColorGroups, FishMask, extract_mask, group_by_color, trace_contour
+from test_preprocess import mask_views
 
 
 def shape_inputs(px, bg=(0, 0, 255), tol=50.0, eps=30.0):
@@ -138,9 +139,10 @@ def pixels_of(bits):
 
 @st.composite
 def column_masks(draw):
-    """Crops in ``_hull_area``'s contract, every column holding foreground:
-    1 row, 1 column or up to 40x40, random fields of several densities
-    (often not connected), or one pixel per column (often collinear)."""
+    """Crops with every column holding foreground, as a 4-connected
+    component's bbox crop has: 1 row, 1 column or up to 40x40, random fields
+    of several densities (often not connected), or one pixel per column
+    (often collinear)."""
     h = draw(st.sampled_from([1, draw(st.integers(1, 40))]))
     w = draw(st.sampled_from([1, draw(st.integers(1, 40))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -151,7 +153,7 @@ def column_masks(draw):
 
 
 class TestHullArea:
-    @given(column_masks())
+    @given(st.one_of(column_masks(), mask_views()))  # with empty columns and as views
     @example(mask_of(["#"]))
     @example(mask_of(["#..", ".#.", "..#"]))
     @example(mask_of(["#", "#", "#"]))

@@ -1,9 +1,11 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fishid import imageio
 from fishid.errors import (
     EmptyManifest,
     InconsistentHierarchy,
@@ -207,6 +209,28 @@ class TestRoundTrip:
         assert np.array_equal(decode_image(encode_bmp(img)).pixels, img.pixels)
 
 
+def tie_colors():
+    """The 16782 colors with 299r + 587g + 114b on a rounding tie (500 mod
+    1000): the only ones whose index depends on how the weighted sum is
+    computed; an elementwise float formula changes 2529 of them."""
+    r, g = np.divmod(np.arange(256 * 256), 256)
+    b_of = np.full(1000, -1)
+    b_of[114 * np.arange(256) % 1000] = np.arange(256)  # 256 distinct residues
+    b = b_of[(500 - 299 * r - 587 * g) % 1000]
+    colors = np.stack((r, g, b), axis=1)[b >= 0].astype(np.uint8)
+    assert len(colors) == 16782
+    return colors
+
+
+def one_shot_indexed(px):
+    """The intensity index as one product over the whole array, the form
+    ``to_indexed`` had before it ran in row bands."""
+    return np.floor(px.astype(np.float64) @ imageio._LUMA + 0.5).astype(np.uint8)
+
+
+BAND = imageio._INDEX_BAND_PIXELS
+
+
 class TestIndexed:
     def test_black_and_white_anchors(self):
         img = RgbImage(np.array([[[0, 0, 0], [255, 255, 255]]], dtype=np.uint8))
@@ -233,15 +257,7 @@ class TestIndexed:
         assert idx.dtype == np.uint8
 
     def test_crops_and_mirrored_views_index_like_the_full_frame(self):
-        # the colors with 299r + 587g + 114b on a rounding tie are the only
-        # ones whose index depends on how the weighted sum is computed: an
-        # elementwise float formula changes 2529 of them
-        r, g = np.divmod(np.arange(256 * 256), 256)
-        b_of = np.full(1000, -1)
-        b_of[114 * np.arange(256) % 1000] = np.arange(256)  # 256 distinct residues
-        b = b_of[(500 - 299 * r - 587 * g) % 1000]
-        colors = np.stack((r, g, b), axis=1)[b >= 0].astype(np.uint8)
-        assert len(colors) == 16782
+        colors = tie_colors()
         rng = np.random.default_rng(0)
         inner = rng.integers(0, 256, (127 * 133, 3), dtype=np.uint8)
         inner[: len(colors)] = colors
@@ -255,6 +271,45 @@ class TestIndexed:
             (mirrored[2:129, 4:137], full[:, ::-1][2:129, 4:137]),
         ):
             assert to_indexed(RgbImage(view)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 7, BAND - 1, BAND, BAND + 1, 1600])
+    def test_bands_equal_the_one_shot_product(self, width):
+        """Frames of whole bands and a 3-row last band, tiled with every tie
+        color and a fifth of random colors, so ties sit at every band's first
+        and last row and in the short last band; views cut and mirrored."""
+        rows = max(1, BAND // width)
+        height = 2 * rows + 3
+        rng = np.random.default_rng(width)
+        ties = tie_colors()
+        px = np.resize(ties, (height * width, 3))
+        spots = rng.random(len(px)) < 0.2
+        spots[: len(ties)] = False  # every tie color appears at least once
+        px[spots] = rng.integers(0, 256, (int(spots.sum()), 3), dtype=np.uint8)
+        frame = px.reshape(height, width, 3)
+        full = one_shot_indexed(frame)
+        cut = (slice(1, -1), slice(1, -1) if width > 2 else slice(None))
+        for view, want in (
+            (frame, full),
+            (frame[cut], full[cut]),
+            (frame[:, ::-1], full[:, ::-1]),
+            (frame[:, ::-1][cut], full[:, ::-1][cut]),
+        ):
+            got = to_indexed(RgbImage(view))
+            assert got.tobytes() == want.tobytes() == one_shot_indexed(view).tobytes()
+
+    def test_temporaries_stay_under_a_mebibyte(self):
+        """At 1600x820 the one-shot product's float64 temporaries peaked at
+        40.7 MB beside the 1.3 MB output; the bands' stay under 1 MiB."""
+        frame = np.random.default_rng(0).integers(0, 256, (820, 1600, 3), dtype=np.uint8)
+        img = RgbImage(frame)
+        tracemalloc.start()
+        try:
+            idx = to_indexed(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.nbytes == 1600 * 820
+        assert peak - idx.nbytes <= 1 << 20
 
 
 class TestManifest:

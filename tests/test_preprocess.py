@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fishid import preprocess, synthgen
 from fishid.errors import EmptyForeground, ImageTooSmall
@@ -14,6 +14,7 @@ from fishid.preprocess import (
     filter_and_unify,
     median_filter,
     normalize_rotation,
+    pixel_coords,
     unify_background,
 )
 
@@ -280,6 +281,52 @@ class TestFilterAndUnify:
         out, bg, _ = filter_and_unify(img, 1, 25.0)
         assert bg == expected_bg
         assert out.pixels.tobytes() == expected.tobytes()
+
+
+def reference_moments(ys, xs):
+    """``central_moments`` as it was before it took float coordinates: float64
+    copies of the coordinates, centred in place."""
+    lx = xs.astype(np.float64)
+    ly = ys.astype(np.float64)
+    cx = lx.sum() / lx.size
+    cy = ly.sum() / ly.size
+    lx -= cx
+    ly -= cy
+    return float(cx), float(cy), float(lx @ lx), float(ly @ ly), float(lx @ ly)
+
+
+@st.composite
+def mask_views(draw):
+    """Masks holding at least one foreground pixel, empty rows and columns
+    allowed: up to 40x40, one row or one column (one pixel when both), as an
+    array, a strided view of a larger one, or a mirrored or flipped view."""
+    h = draw(st.sampled_from([1, draw(st.integers(1, 40))]))
+    w = draw(st.sampled_from([1, draw(st.integers(1, 40))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    bits[rng.integers(h), rng.integers(w)] = True
+    wide = rng.random((2 * h, 3 * w)) < 0.5
+    wide[::2, ::3] = bits
+    views = {"array": bits, "strided": wide[::2, ::3],
+             "mirrored": bits[:, ::-1], "flipped": bits[::-1, ::-1]}
+    return views[draw(st.sampled_from(sorted(views)))]
+
+
+class TestPixelCoords:
+    @given(mask_views())
+    @example(np.ones((1, 1), dtype=bool))
+    @example(np.ones((1, 9), dtype=bool))
+    @example(np.ones((9, 1), dtype=bool))
+    @example(np.eye(5, dtype=bool)[:, ::-1])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_nonzero_and_gives_the_same_moments(self, bits):
+        ys, xs = pixel_coords(bits)
+        want_y, want_x = np.nonzero(bits)
+        assert ys.dtype == xs.dtype == np.float64
+        assert np.array_equal(ys, want_y) and np.array_equal(xs, want_x)
+        got = [v.hex() for v in central_moments(ys, xs)]
+        assert got == [v.hex() for v in central_moments(want_y, want_x)]
+        assert got == [v.hex() for v in reference_moments(want_y, want_x)]
 
 
 class TestNormalizeRotation:
