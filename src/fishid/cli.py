@@ -115,14 +115,8 @@ def _cmd_extract(opt) -> int:
 
 
 def _cmd_train(opt) -> int:
-    cfg = dataclasses.replace(
-        pipeline.DEFAULT_TRAIN,
-        eta=opt["eta"],
-        alpha=opt["alpha"],
-        epsilon=opt["epsilon"],
-        max_epochs=opt["max_epochs"],
-        seed=opt["seed"],
-    )
+    names = {f.name for f in dataclasses.fields(pipeline.DEFAULT_TRAIN)}
+    cfg = dataclasses.replace(pipeline.DEFAULT_TRAIN, **{k: opt[k] for k in names & opt.keys()})
     bundle = train_bundle(opt["manifest"], train_cfg=cfg, hidden=opt["hidden"])
     save_bundle(bundle, opt["out"])
     print(f"trained {len(bundle.registry)} classes, model saved to {opt['out']}")

@@ -64,12 +64,6 @@ from .segment import ColorGroups, Contour, FishMask
 FEATURE_COUNT = 47
 FEATURE_LAYOUT_VERSION = 1
 
-# group boundaries of the layout above
-SIZE_SLICE = slice(0, 6)
-SHAPE_SLICE = slice(6, 24)
-COLOR_SLICE = slice(24, 36)
-GEOMETRY_SLICE = slice(36, 47)
-
 
 def triangle_area(a, b, c) -> float:
     """Shoelace area; exact for integer vertices."""
@@ -126,7 +120,7 @@ def extract_features(
     f[2] = h / H
     f[3] = P / (2.0 * (W + H))
     f[4] = w / (w + h)
-    f[5] = 1.0 if P == 0 else min(1.0, 4.0 * math.pi * A / (P * P))
+    f[5] = 1.0 if P == 0 else 4.0 * math.pi * A / (P * P)
 
     # radial signature over 8 sectors of 45 degrees
     dxc = cpts[:, 0] - cxl
@@ -141,7 +135,7 @@ def extract_features(
 
     # solidity and extent
     hull_area = _hull_area(bits)
-    f[14] = 1.0 if hull_area <= 0.0 else min(1.0, A / hull_area)
+    f[14] = 1.0 if hull_area <= 0.0 else A / hull_area
     f[15] = A / (w * h)
 
     # eccentricity and orientation from central second moments
@@ -166,7 +160,7 @@ def extract_features(
     for qi, quad in enumerate(quads):  # TL, TR, BL, BR
         q = ib[quad][bits[quad]]
         if q.size:
-            f[19 + qi] = min(1.0, float(q.std()) / 128.0)
+            f[19 + qi] = float(q.std()) / 128.0
 
     # color signature
     dmean, vmean = _dorsum_ventral_means(mask.crop(img.pixels), bits, cyl)
@@ -174,7 +168,7 @@ def extract_features(
     f[27:30] = vmean
     f[30:33] = (dmean - vmean + 1.0) / 2.0
     f[33] = float(iv.sum() / A) / 255.0
-    f[34] = min(1.0, float(iv.std()) / 128.0)
+    f[34] = float(iv.std()) / 128.0
     f[35] = min(groups.group_count, 32) / 32.0
 
     # the extreme-point triangles; an extreme is the first foreground pixel along its bbox edge

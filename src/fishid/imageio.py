@@ -43,8 +43,10 @@ MANIFEST_HEADER = "path,family,poison,cluster,split"
 # intensity index weights (ITU luminance); round-half-up keeps equal-channel
 # grays at their own value for every v in 0..255
 _LUMA = np.array([0.299, 0.587, 0.114])
-# pixels per band of to_indexed: its float64 temporaries stay within the L2 cache
-_INDEX_BAND_PIXELS = 1 << 14
+# the frame-sized passes (the median, the rotation, the intensity index) run in
+# bands of rows whose temporaries together stay in the L2 cache, instead of
+# faulting in fresh frame-sized pages
+_BAND_BYTES = 1 << 17
 
 # P6, then width, height and maxval: each number follows whitespace or '#'
 # comments and ends at one whitespace byte, the maxval's being the last byte
@@ -52,6 +54,12 @@ _INDEX_BAND_PIXELS = 1 << 14
 # a header matches in one way only and a failed match is linear in its length
 _PPM_SEP = rb"(?:\s|#[^\n]*(?:\n|\Z))*"
 _PPM_HEADER = re.compile(rb"P6" + (_PPM_SEP + rb"(\d+)\s") * 3)
+
+
+def _bands(height: int, row_bytes: int):
+    """Row slices covering ``range(height)``, each about ``_BAND_BYTES``."""
+    step = max(1, _BAND_BYTES // row_bytes)
+    return [slice(r, min(r + step, height)) for r in range(0, height, step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,16 +229,15 @@ def to_indexed(img: RgbImage) -> np.ndarray:
     """Map each pixel to its 0..255 intensity index (black .. white); returns
     an (h, w) uint8 array, the bytes of ``floor(pixels.astype(float64) @ _LUMA
     + 0.5)``. That product is one BLAS dot per image row, whose result does not
-    depend on where the row sits in memory, so it runs over bands of whole rows
-    of about ``_INDEX_BAND_PIXELS``: no temporary grows with the image."""
+    depend on where the row sits in memory, so it runs over the ``_bands`` of
+    its float64 rows: no temporary grows with the image."""
     px = img.pixels
     h, w, _ = px.shape
     out = np.empty((h, w), dtype=np.uint8)
-    step = max(1, _INDEX_BAND_PIXELS // w)
-    for r in range(0, h, step):
-        lum = px[r : r + step].astype(np.float64) @ _LUMA
+    for band in _bands(h, 8 * w):
+        lum = px[band].astype(np.float64) @ _LUMA
         lum += 0.5
-        out[r : r + step] = np.floor(lum, out=lum)  # in [0, 255] for uint8 channels
+        out[band] = np.floor(lum, out=lum)  # in [0, 255] for uint8 channels
     return out
 
 

@@ -84,7 +84,7 @@ class TrainedBundle:
 
 @dataclass
 class EvalReport:
-    class_names: tuple[str, ...]
+    classes: tuple[str, ...]
     confusion: np.ndarray  # rows true, cols predicted
     accuracy: float
     precision: list[float]
@@ -216,13 +216,9 @@ def evaluate(bundle: TrainedBundle, manifest_path) -> EvalReport:
         confusion[true_idx, _classify(bundle, features)[1]] += 1
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total
-    precision = []
-    recall = []
-    for c in range(n):
-        col = confusion[:, c].sum()
-        row = confusion[c, :].sum()
-        precision.append(float(confusion[c, c] / col) if col else 0.0)
-        recall.append(float(confusion[c, c] / row) if row else 0.0)
+    # a class's hits over its column sum (predicted) and over its row sum (true); empty: 0.0
+    precision, recall = (np.divide(np.diag(confusion), s, out=np.zeros(n), where=s > 0).tolist()
+                         for s in (confusion.sum(axis=0), confusion.sum(axis=1)))
     poison_idx = [c for c, entry in enumerate(bundle.registry.entries) if entry.poison]
     poison_total = int(confusion[poison_idx, :].sum()) if poison_idx else 0
     if poison_total:
@@ -243,19 +239,19 @@ def evaluate(bundle: TrainedBundle, manifest_path) -> EvalReport:
 
 def format_report(report: EvalReport) -> str:
     """Human-readable accuracy / confusion / recall summary."""
-    width = max(len(name) for name in report.class_names)
+    width = max(len(name) for name in report.classes)
     lines = [
         f"accuracy: {report.accuracy:.4f}",
         f"poison recall: {report.poison_recall:.4f}",
         f"test rows: {report.total}",
         "confusion matrix (rows = true, cols = predicted):",
     ]
-    head = " " * (width + 2) + " ".join(f"{i:>4d}" for i in range(len(report.class_names)))
+    head = " " * (width + 2) + " ".join(f"{i:>4d}" for i in range(len(report.classes)))
     lines.append(head)
-    for i, name in enumerate(report.class_names):
+    for i, name in enumerate(report.classes):
         cells = " ".join(f"{int(v):>4d}" for v in report.confusion[i])
         lines.append(f"{name:<{width}} [{i}] {cells}")
-    for i, name in enumerate(report.class_names):
+    for i, name in enumerate(report.classes):
         lines.append(
             f"{name:<{width}} precision {report.precision[i]:.4f} "
             f"recall {report.recall[i]:.4f}"
@@ -264,15 +260,7 @@ def format_report(report: EvalReport) -> str:
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "poison_recall": report.poison_recall,
-        "total": report.total,
-        "classes": list(report.class_names),
-        "confusion": report.confusion.tolist(),
-        "precision": report.precision,
-        "recall": report.recall,
-    }
+    return {**asdict(report), "classes": list(report.classes), "confusion": report.confusion.tolist()}
 
 
 def _bundle_to_doc(bundle: TrainedBundle) -> dict:

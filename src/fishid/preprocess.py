@@ -15,19 +15,10 @@ import math
 import numpy as np
 
 from .errors import EmptyForeground, ImageTooSmall, InvalidConfig
-from .imageio import RgbImage, differs_window, filled, planes, sq_distance
+from .imageio import RgbImage, _bands, differs_window, filled, planes, sq_distance
 
 # skip resampling when the measured orientation is below half a degree
 _ROTATION_SKIP_RAD = math.radians(0.5)
-# the frame-sized passes run in bands of rows whose temporaries together
-# stay in the L2 cache, instead of faulting in fresh frame-sized pages
-_BAND_BYTES = 1 << 17
-
-
-def _bands(height: int, row_bytes: int):
-    """Row slices covering ``range(height)``, each about ``_BAND_BYTES``."""
-    step = max(1, _BAND_BYTES // row_bytes)
-    return [slice(r, min(r + step, height)) for r in range(0, height, step)]
 
 
 @dataclass(frozen=True)
@@ -113,11 +104,10 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
         # clamping at the box reads the colors that clamping at the frame reads.
         win = out[grown]
         win[:] = median_filter(RgbImage(px[grown]), r).pixels
-        bg = np.array(color, dtype=np.uint8)
-        near = sq_distance(planes(win), bg) <= tolerance * tolerance
+        near = sq_distance(planes(win), color) <= tolerance * tolerance
         h, w = near.shape
         # one masked copy over the interleaved rows; indexing by pixel moves 3 bytes a step
-        np.copyto(win.reshape(h, 3 * w), np.tile(bg, w),
+        np.copyto(win.reshape(h, 3 * w), np.tile(np.asarray(color, dtype=np.uint8), w),
                   where=np.stack((near, near, near), axis=-1).reshape(h, 3 * w))
     return RgbImage(out), color, grown
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import fishid
-from fishid import pipeline
+from fishid import cli, pipeline
 from fishid.cli import REQUIRED, _COMMANDS, _merge_options, _read_config, build_parser, main
 from fishid.errors import IoFailure, MalformedRow
 from fishid.imageio import MANIFEST_HEADER, load_manifest, read_text
@@ -516,6 +517,31 @@ def test_train_defaults_are_the_library_recipe(small_corpus, tmp_path):
     assert main(["train", "--manifest", manifest, "--out", os.fspath(cli_out)]) == 0
     save_bundle(train_bundle(manifest), lib_out)
     assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eta", 0.25), ("alpha", 0.5), ("epsilon", 1e-4), ("max_epochs", 40), ("seed", 3),
+    ("hidden", 16),
+])
+def test_each_train_flag_reaches_train_bundle(key, value, tmp_path, monkeypatch):
+    class Captured(Exception):
+        pass
+
+    def capture(manifest, train_cfg, hidden):
+        raise Captured(train_cfg, hidden)
+
+    monkeypatch.setattr(cli, "train_bundle", capture)
+    out = os.fspath(tmp_path / "m.json")
+    with pytest.raises(Captured) as caught:
+        main(["train", "--manifest", "m.csv", "--out", out, flag(key), str(value)])
+    train_cfg, hidden = caught.value.args
+    if key == "hidden":
+        assert (train_cfg, hidden) == (pipeline.DEFAULT_TRAIN, value)
+    else:
+        want = dataclasses.replace(pipeline.DEFAULT_TRAIN, **{key: value})
+        assert (train_cfg, hidden) == (want, pipeline.DEFAULT_HIDDEN)
+        assert want != pipeline.DEFAULT_TRAIN
+    assert train_cfg.init_scale == pipeline.PIPELINE_INIT_SCALE
 
 
 def test_invalid_model_config_is_an_error_line(cli_model, cli_corpus, cli_workdir, capsys):

@@ -12,11 +12,7 @@ from fishid.errors import InconsistentInputs
 from fishid.features import (
     _dorsum_ventral_means,
     _hull_area,
-    COLOR_SLICE,
     FEATURE_COUNT,
-    GEOMETRY_SLICE,
-    SHAPE_SLICE,
-    SIZE_SLICE,
     extract_features,
     find_head_side,
     triangle_area,
@@ -45,10 +41,6 @@ def rect_image(w=24, h=12, color=(180, 40, 40)):
 class TestLayout:
     def test_group_boundaries_frozen(self):
         assert FEATURE_COUNT == 47
-        assert (SIZE_SLICE.start, SIZE_SLICE.stop) == (0, 6)
-        assert (SHAPE_SLICE.start, SHAPE_SLICE.stop) == (6, 24)
-        assert (COLOR_SLICE.start, COLOR_SLICE.stop) == (24, 36)
-        assert (GEOMETRY_SLICE.start, GEOMETRY_SLICE.stop) == (36, 47)
 
     def test_vector_length(self):
         f = extract_features(*shape_inputs(rect_image()))

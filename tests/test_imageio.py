@@ -1,11 +1,12 @@
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fishid import imageio
+from fishid import imageio, pipeline, synthgen
 from fishid.errors import (
     EmptyManifest,
     InconsistentHierarchy,
@@ -23,6 +24,7 @@ from fishid.imageio import (
     to_indexed,
     write_manifest,
 )
+from fishid.preprocess import filter_and_unify, normalize_rotation
 
 
 def reference_decode_ppm(data: bytes) -> RgbImage:
@@ -228,7 +230,7 @@ def one_shot_indexed(px):
     return np.floor(px.astype(np.float64) @ imageio._LUMA + 0.5).astype(np.uint8)
 
 
-BAND = imageio._INDEX_BAND_PIXELS
+BAND = imageio._BAND_BYTES // 8  # pixels per band of to_indexed's float64 rows
 
 
 class TestIndexed:
@@ -310,6 +312,32 @@ class TestIndexed:
             tracemalloc.stop()
         assert idx.nbytes == 1600 * 820
         assert peak - idx.nbytes <= 1 << 20
+
+
+# (family index, seed) of synthgen fish that face left, face right, and are resampled
+BUDGET_FISH = [(3, 0), (0, 4), (5, 4)]
+
+
+class TestBandBudget:
+    def test_one_band_budget_reaches_the_median_rotation_and_index(self):
+        """The median, the rotation and the intensity index all band by
+        ``_BAND_BYTES``: 1-row bands, mid-size ones and one band per frame give
+        the default budget's descriptor bytes at 320x240 and at 1600x820."""
+        config = pipeline.PipelineConfig()
+        pre = config.preprocess
+        families = synthgen.default_families()
+        fish = [synthgen.render_fish(families[i], seed, synthgen.SynthConfig(width=w, height=h))
+                for w, h in ((320, 240), (1600, 820)) for i, seed in BUDGET_FISH]
+        want = [pipeline.analyze_image(img, config) for img in fish]
+        assert [a.image.pixels.strides[1] < 0 for a in want[:3]] == [False, True, True]
+        unified, bg, _ = filter_and_unify(fish[2], pre.median_radius, pre.background_tolerance)
+        assert normalize_rotation(unified, bg) is not unified
+        for budget in (48, 4096, 1 << 20):
+            with mock.patch.object(imageio, "_BAND_BYTES", budget):
+                if budget == 48:
+                    assert len(imageio._bands(820, 8 * 1600)) == 820
+                got = [pipeline.analyze_image(img, config).features.tobytes() for img in fish]
+            assert got == [a.features.tobytes() for a in want]
 
 
 class TestManifest:

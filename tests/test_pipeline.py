@@ -167,6 +167,31 @@ class TestBoundedScans:
         assert analysis_or_error(RgbImage(px)) == (EmptyForeground, "rotation")
 
 
+# 1600x820 frames that stress the pixel passes, as the rows (ys) and columns
+# (xs) drawn dark on white: concentric rings, a one-pixel checkerboard, 50%
+# binary noise and one color everywhere
+ADVERSARIAL = {
+    "rings": lambda ys, xs: np.hypot(ys - 410, xs - 800).astype(np.int64) // 8 % 2 == 1,
+    "checkerboard": lambda ys, xs: (ys + xs) % 2 == 1,
+    "noise": lambda ys, xs: np.random.default_rng(0).random(ys.shape) < 0.5,
+    "all-foreground": lambda ys, xs: np.ones(ys.shape, dtype=bool),
+}
+
+
+class TestAdversarialFrames:
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    def test_descriptor_or_staged_error(self, name):
+        dark = ADVERSARIAL[name](*np.mgrid[:820, :1600])[..., np.newaxis]
+        img = RgbImage(np.where(dark, np.uint8(40), np.uint8(255)).repeat(3, axis=2))
+        try:
+            features = pipeline.analyze_image(img, pipeline.PipelineConfig()).features
+        except ToolkitError as exc:
+            assert exc.stage is not None
+        else:
+            assert features.shape == (FEATURE_COUNT,)
+            assert np.all((features >= 0.0) & (features <= 1.0))
+
+
 class TestTrainBundle:
     def test_deterministic_model_bytes(self, small_corpus, tmp_path):
         manifest, _ = small_corpus
@@ -219,13 +244,32 @@ class TestEvaluate:
         entries = [e for e in load_manifest(manifest) if e.split == "test"]
         assert report.total == len(entries)
         # confusion row sums equal per-class test counts
-        for i, name in enumerate(report.class_names):
+        for i, name in enumerate(report.classes):
             expected = sum(e.family == name for e in entries)
             assert int(report.confusion[i].sum()) == expected
         assert report.accuracy == np.trace(report.confusion) / report.total
         assert 0.0 <= report.poison_recall <= 1.0
         text = format_report(report)
         assert "accuracy" in text and "poison recall" in text
+
+    def test_empty_sums_give_zero_ratios(self, small_corpus, small_bundle, monkeypatch):
+        """Every test row predicted as class 0: each other class's column is
+        empty (precision 0.0), and only class 0's row has a hit."""
+        manifest, _ = small_corpus
+        monkeypatch.setattr(pipeline, "_classify", lambda bundle, features: (None, 0))
+        report = evaluate(small_bundle, manifest)
+        rows = report.confusion.sum(axis=1)
+        assert report.confusion[:, 1:].sum() == 0
+        assert report.precision == [rows[0] / report.total] + [0.0] * (len(rows) - 1)
+        assert report.recall == [1.0] + [0.0] * (len(rows) - 1)
+
+    def test_report_to_dict(self):
+        report = pipeline.EvalReport(("a", "b"), np.array([[2, 1], [0, 3]]), 5 / 6,
+                                     [1.0, 0.75], [2 / 3, 1.0], 1.0, 6)
+        assert pipeline.report_to_dict(report) == {
+            "accuracy": 5 / 6, "classes": ["a", "b"], "confusion": [[2, 1], [0, 3]],
+            "poison_recall": 1.0, "precision": [1.0, 0.75], "recall": [2 / 3, 1.0], "total": 6,
+        }
 
     def test_empty_test_split(self, small_corpus, tmp_path):
         manifest, _ = small_corpus

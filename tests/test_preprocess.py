@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fishid import preprocess, synthgen
+from fishid import imageio, synthgen
 from fishid.errors import EmptyForeground, ImageTooSmall
 from fishid.imageio import RgbImage
 from fishid.preprocess import (
@@ -64,7 +64,7 @@ def full_frame_rotation(img, background_color):
 def small_bands(band_bytes):
     """Cut the band budget to ``band_bytes``, so that small frames span
     several bands, down to 1-row bands and a short last band."""
-    return mock.patch.object(preprocess, "_BAND_BYTES", band_bytes)
+    return mock.patch.object(imageio, "_BAND_BYTES", band_bytes)
 
 
 MEDIAN_CASES = (st.integers(0, 2**32 - 1), st.sampled_from([0, 1]), st.sampled_from([2, 3, 256]))
