@@ -264,13 +264,9 @@ def sq_distance(a, b) -> np.ndarray:
     return out
 
 
-def differs_window(pixels: np.ndarray, color, within=None):
+def differs_window(pixels: np.ndarray, color):
     """The (row, column) slice pair of the frame bounding the pixels unequal to
-    ``color`` in some channel, or ``None`` if none is. With ``within`` (slices with
-    integer starts) only ``pixels[within]`` is scanned."""
-    if within is not None:
-        found = differs_window(pixels[within], color)
-        return found and tuple(slice(f.start + o.start, f.stop + o.start) for f, o in zip(found, within))
+    ``color`` in some channel, or ``None`` if none is."""
     h, w, _ = pixels.shape
     # one contiguous uint8 compare over the interleaved rows beats deinterleaving
     differs = pixels.reshape(h, 3 * w) != np.tile(np.asarray(color, dtype=np.uint8), w)
@@ -279,6 +275,13 @@ def differs_window(pixels: np.ndarray, color, within=None):
         return None
     cols = np.flatnonzero(differs.any(axis=0).reshape(w, 3).any(axis=1))
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
+def distance_window(pixels: np.ndarray, color):
+    """``(box, dist)``: the :func:`differs_window` box and the int32 squared
+    distance of the pixels in it to ``color``, or ``(None, None)``."""
+    box = differs_window(pixels, color)
+    return box, box and sq_distance(planes(pixels[box]), color)
 
 
 def load_manifest(path) -> list[ManifestEntry]:

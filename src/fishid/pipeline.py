@@ -28,7 +28,7 @@ from .features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, extract_features, f
 from .imageio import RgbImage, decode_image, load_manifest, read_file, to_indexed, write_file
 from .mlp import MlpModel, TrainConfig
 from .preprocess import PreprocessConfig, _normalize_rotation, filter_and_unify
-from .segment import FishMask, extract_mask, group_by_color, trace_contour
+from .segment import Contour, FishMask, _largest_component, group_by_color, trace_contour
 
 MODEL_VERSION = 1
 
@@ -56,12 +56,13 @@ class PipelineConfig:
 @dataclass
 class ImageAnalysis:
     """Intermediates produced while turning an image into features. For a
-    mirrored (right-facing) fish, ``image.pixels`` and ``mask.bits`` are
-    reversed views of the unmirrored frames, not copies."""
+    mirrored (right-facing) fish, ``image.pixels`` and ``mask.bits`` hold
+    the unmirrored frames reversed left to right, in C-contiguous arrays
+    that the pipeline made."""
 
     image: RgbImage  # after filtering, background unification, rotation
-    mask: object
-    contour: object
+    mask: FishMask
+    contour: Contour
     features: np.ndarray
 
 
@@ -102,29 +103,55 @@ def _staged(stage, fn, *args):
         raise
 
 
+def _mirror(frame, box, fill) -> None:
+    """Mirror ``frame`` (h, w, channels) left to right in place, given that it
+    holds ``fill`` everywhere outside ``frame[box]``: only the box moves. It
+    moves one channel at a time, which numpy reverses several times faster
+    than whole pixels, so the frame stays C-contiguous at little cost."""
+    rows, cols = box
+    w = frame.shape[1]
+    crop = frame[box]
+    src = crop.copy()
+    crop[:] = np.full(crop.shape[1:], fill, frame.dtype)  # a row: broadcasting a pixel is slow
+    dst = frame[rows, w - cols.stop : w - cols.start]
+    for c in range(frame.shape[2]):
+        dst[..., c] = src[:, ::-1, c]
+
+
 def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     """Run the preprocessing/segmentation/feature chain on a decoded image.
 
     After rotation normalization the image is mirrored if the head is on the
     right, so every downstream descriptor sees a fish facing left; facing is
     an irrelevant transformation for recognition and canonicalizing it keeps
-    the descriptors unimodal per class. The flip is an exact index reversal.
+    the descriptors unimodal per class. The flip is an exact index reversal,
+    done in place on the pipeline's own frames.
     """
     pre = config.preprocess
-    # each stage hands on a box outside which its output is background: the next scans only it
-    unified, background, box = _staged("background", filter_and_unify, img, pre.median_radius,
-                                       pre.background_tolerance)
-    rotated, box = _staged("rotation", _normalize_rotation, unified, background, box)
-    mask = _staged("mask", extract_mask, rotated, background, config.fg_tolerance, box)
+    # each stage hands on a box outside which its output is background, and
+    # the squared distance to the background inside it: the next reads only that
+    unified, background, box, dist = _staged("background", filter_and_unify, img,
+                                             pre.median_radius, pre.background_tolerance)
+    rotated, box, dist = _staged("rotation", _normalize_rotation, unified, background, box, dist)
+    mask = _staged("mask", _largest_component, rotated.pixels.shape[:2], config.fg_tolerance,
+                   box, dist)
     if find_head_side(mask) == "right":
-        rotated = RgbImage(rotated.pixels[:, ::-1])
+        # both frames are the pipeline's own, and background outside their boxes
+        _mirror(rotated.pixels, box, background)
         x0, y0, w, h = mask.bbox
-        mirrored = (rotated.width - x0 - w, y0, w, h)
-        mask = FishMask(mask.bits[:, ::-1], mask.area, mirrored)
+        _mirror(mask.bits[..., np.newaxis], (slice(y0, y0 + h), slice(x0, x0 + w)), False)
+        mask = FishMask(mask.bits, mask.area, (rotated.width - x0 - w, y0, w, h))
     contour = _staged("contour", trace_contour, mask)
     groups = _staged("color-groups", group_by_color, mask, rotated, config.group_tolerance)
+    # index only the mask's bbox, but at least two columns of it: numpy takes a
+    # one-pixel row's product by a scalar dot, which rounds some ties unlike the
+    # matrix-vector product of every wider row, so to_indexed(rotated) would differ
+    x0, y0, w, h = mask.bbox
+    if w == 1 < rotated.width:
+        x0, w = min(x0, rotated.width - 2), 2
+    box = slice(y0, y0 + h), slice(x0, x0 + w)
     idx = np.zeros(mask.bits.shape, dtype=np.uint8)
-    mask.crop(idx)[:] = to_indexed(RgbImage(mask.crop(rotated.pixels)))
+    idx[box] = to_indexed(RgbImage(rotated.pixels[box]))
     feats = _staged("features", extract_features, rotated, idx, mask, contour, groups)
     return ImageAnalysis(rotated, mask, contour, feats)
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import EmptyForeground, ImageTooSmall, InvalidConfig
-from .imageio import RgbImage, _bands, differs_window, filled, planes, sq_distance
+from .imageio import RgbImage, _bands, differs_window, distance_window, filled, planes, sq_distance
 
 # skip resampling when the measured orientation is below half a degree
 _ROTATION_SKIP_RAD = math.radians(0.5)
@@ -74,9 +74,11 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
     (ties broken by the lexicographically smallest (r, g, b)). Every filtered
     pixel within ``tolerance`` of it is replaced by it exactly.
 
-    Returns ``(image, background_color, box)``: the image is a new array,
-    background outside ``box`` (a pair of slices, or None when every pixel
-    of ``img`` is the background).
+    Returns ``(image, background_color, box, dist)``: the image is a new
+    array, background outside ``box`` (a pair of slices, or None when every
+    pixel of ``img`` is the background), and ``dist`` (None with ``box``) is
+    the int32 ``sq_distance(planes(image.pixels[box]), background_color)``:
+    the near-background test's distances, with the flattened pixels at 0.
     """
     if not tolerance >= 0:  # NaN fails too
         raise InvalidConfig("tolerance must be >= 0")
@@ -97,6 +99,7 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
     out = filled(img.height, img.width, color)
     box = differs_window(px, color)
     grown = box and tuple(slice(max(s.start - r, 0), s.stop + r) for s in box)
+    dist = None
     if box is not None:
         # outside the differing box grown by r, every clamped window holds
         # only the background, so the output there is the background. Each
@@ -104,12 +107,14 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
         # clamping at the box reads the colors that clamping at the frame reads.
         win = out[grown]
         win[:] = median_filter(RgbImage(px[grown]), r).pixels
-        near = sq_distance(planes(win), color) <= tolerance * tolerance
+        dist = sq_distance(planes(win), color)
+        near = dist <= tolerance * tolerance
         h, w = near.shape
         # one masked copy over the interleaved rows; indexing by pixel moves 3 bytes a step
         np.copyto(win.reshape(h, 3 * w), np.tile(np.asarray(color, dtype=np.uint8), w),
                   where=np.stack((near, near, near), axis=-1).reshape(h, 3 * w))
-    return RgbImage(out), color, grown
+        dist[near] = 0
+    return RgbImage(out), color, grown, dist
 
 
 def unify_background(img: RgbImage, cfg: PreprocessConfig):
@@ -152,24 +157,31 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     background color. Inputs already within half a degree of horizontal are
     returned unchanged.
     """
-    return _normalize_rotation(img, background_color, None)[0]
+    field = distance_window(img.pixels, background_color)
+    return _normalize_rotation(img, background_color, *field)[0]
 
 
-def _normalize_rotation(img: RgbImage, background_color, within):
-    """:func:`normalize_rotation` of an image that is background outside ``within``
-    (``None``: anywhere), plus a box outside which the output is background."""
-    box = differs_window(img.pixels, background_color, within)
-    if box is None:
+def _normalize_rotation(img: RgbImage, background_color, box, dist):
+    """:func:`normalize_rotation` of an image that is background outside ``box``
+    (None: everywhere), given ``dist``, the int32 squared distance of
+    ``img.pixels[box]`` to the background; the foreground is where it is
+    above 0. Returns ``(image, box, dist)`` of the output in the same terms.
+    A resampled output's ``dist`` is resampled with its pixels, so it is the
+    distance of the pixels it holds."""
+    if box is None or not (fg := dist > 0).any():
         raise EmptyForeground("image has no non-background pixels")
+    rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
+    tight = slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+    fg, dist = fg[tight], dist[tight]
+    bh, bw = fg.shape
+    y0, x0 = box[0].start + tight[0].start, box[1].start + tight[1].start
+    box = slice(y0, y0 + bh), slice(x0, x0 + bw)
     box_px = img.pixels[box]
-    bh, bw, _ = box_px.shape
-    y0, x0 = box[0].start, box[1].start
-    p, (c0, c1, c2) = planes(box_px), background_color
-    ys, xs = pixel_coords((p[0] != c0) | (p[1] != c1) | (p[2] != c2))
+    ys, xs = pixel_coords(fg)
     cx, cy, s20, s02, s11 = central_moments(ys, xs)
     theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     if abs(theta) < _ROTATION_SKIP_RAD:
-        return img, box
+        return img, box, dist
     h, w = img.height, img.width
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     # output pixel p maps to source R(theta) (p - c) + c, all in local coords;
@@ -192,8 +204,10 @@ def _normalize_rotation(img: RgbImage, background_color, within):
     fish = filled(bh + 2, bw + 2, background_color)
     fish[1:-1, 1:-1] = box_px
     fish = fish.reshape(-1, 3)
+    fish_dist = np.pad(dist, 1).ravel()  # the border is at distance 0
     out = filled(h, w, background_color)
     win = out[wy0:wy1, wx0:wx1]
+    win_dist = np.empty(win.shape[:2], dtype=np.int32)
     for band in _bands(wy1 - wy0, u.nbytes):
         src_x = cos_u - sin_v[band] + cx
         src_y = sin_u + cos_v[band] + cy
@@ -201,4 +215,5 @@ def _normalize_rotation(img: RgbImage, background_color, within):
         np.clip(np.rint(src_y, out=src_y), -1, bh, out=src_y)
         flat = ((src_y + 1) * (bw + 2) + (src_x + 1)).astype(np.intp)  # exact in float64
         win[band] = np.take(fish, flat, axis=0)
-    return RgbImage(out), (slice(wy0, wy1), slice(wx0, wx1))
+        win_dist[band] = np.take(fish_dist, flat)
+    return RgbImage(out), (slice(wy0, wy1), slice(wx0, wx1)), win_dist

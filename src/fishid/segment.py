@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyForeground, InvalidConfig
-from .imageio import RgbImage, differs_window, planes, sq_distance
+from .imageio import RgbImage, distance_window, planes, sq_distance
 
 # Moore neighborhood in clockwise order (x right, y down):
 # W, NW, N, NE, E, SE, S, SW
@@ -84,16 +84,24 @@ class ColorGroups:
     pixel_count: int
 
 
-def extract_mask(img: RgbImage, background_color, fg_tolerance: float, within=None) -> FishMask:
+def extract_mask(img: RgbImage, background_color, fg_tolerance: float) -> FishMask:
     """Keep the largest 4-connected component farther than ``fg_tolerance``
     from the background color (ties: the component containing the smallest
-    row-major pixel index). With ``within``, outside which ``img`` is background, only it is scanned."""
+    row-major pixel index). The distances are taken here; ``analyze_image``
+    hands rotation's to :func:`_largest_component` instead."""
     if not fg_tolerance > 0:
         raise InvalidConfig("fg_tolerance must be > 0")
-    box = differs_window(img.pixels, background_color, within)
+    return _largest_component(img.pixels.shape[:2], fg_tolerance,
+                              *distance_window(img.pixels, background_color))
+
+
+def _largest_component(shape, fg_tolerance, box, dist) -> FishMask:
+    """The :func:`extract_mask` of a frame of ``shape`` (h, w) that is
+    background outside ``box`` (None: everywhere), given ``dist``, the int32
+    squared distance of the frame's pixels in ``box`` to the background."""
     if box is None:  # a pixel equal to the background is at distance 0
         raise EmptyForeground("no pixel exceeds the foreground tolerance")
-    fg = sq_distance(planes(img.pixels[box]), background_color) > fg_tolerance * fg_tolerance
+    fg = dist > fg_tolerance * fg_tolerance
     # label only that window; row-major order in it is full-frame row-major
     # order, so size ties break the same
     starts, ends, root = _label_runs(fg, fg[:, 1:] & fg[:, :-1], fg[1:] & fg[:-1])
@@ -108,7 +116,7 @@ def extract_mask(img: RgbImage, background_color, fg_tolerance: float, within=No
     # clear the losing runs' flat pixels: each start, over its run, plus the steps into it
     n = (ends - starts + 1)[~mine]
     fg.ravel()[np.repeat(starts[~mine] - (np.cumsum(n) - n), n) + np.arange(n.sum())] = False
-    bits = np.zeros(img.pixels.shape[:2], dtype=bool)
+    bits = np.zeros(shape, dtype=bool)
     bits[box] = fg
     w = fg.shape[1]
     x0, y0 = int((s % w).min()), int(s[0] // w)

@@ -14,6 +14,7 @@ from fishid.errors import (
     TruncatedData,
     UnsupportedFormat,
 )
+from fishid.features import find_head_side
 from fishid.imageio import (
     ManifestEntry,
     RgbImage,
@@ -25,6 +26,7 @@ from fishid.imageio import (
     write_manifest,
 )
 from fishid.preprocess import filter_and_unify, normalize_rotation
+from fishid.segment import extract_mask
 
 
 def reference_decode_ppm(data: bytes) -> RgbImage:
@@ -329,9 +331,14 @@ class TestBandBudget:
         fish = [synthgen.render_fish(families[i], seed, synthgen.SynthConfig(width=w, height=h))
                 for w, h in ((320, 240), (1600, 820)) for i, seed in BUDGET_FISH]
         want = [pipeline.analyze_image(img, config) for img in fish]
-        assert [a.image.pixels.strides[1] < 0 for a in want[:3]] == [False, True, True]
-        unified, bg, _ = filter_and_unify(fish[2], pre.median_radius, pre.background_tolerance)
-        assert normalize_rotation(unified, bg) is not unified
+        sides, resampled = [], []
+        for img in fish[:3]:
+            unified, bg, _, _ = filter_and_unify(img, pre.median_radius, pre.background_tolerance)
+            rotated = normalize_rotation(unified, bg)
+            sides.append(find_head_side(extract_mask(rotated, bg, config.fg_tolerance)))
+            resampled.append(rotated is not unified)
+        assert sides == ["left", "right", "right"]
+        assert resampled[2]
         for budget in (48, 4096, 1 << 20):
             with mock.patch.object(imageio, "_BAND_BYTES", budget):
                 if budget == 48:

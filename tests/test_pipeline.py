@@ -18,16 +18,25 @@ from fishid.errors import (
     ToolkitError,
     VersionMismatch,
 )
-from fishid.features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, find_head_side
-from fishid.imageio import RgbImage, encode_ppm, load_manifest, write_manifest
+from fishid.features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, extract_features, find_head_side
+from fishid.imageio import (
+    RgbImage,
+    encode_ppm,
+    load_manifest,
+    planes,
+    sq_distance,
+    to_indexed,
+    write_manifest,
+)
 from fishid.mlp import TrainConfig
 from fishid.preprocess import (
+    _normalize_rotation,
     filter_and_unify,
     median_filter,
     normalize_rotation,
     unify_background,
 )
-from fishid.segment import FishMask, extract_mask
+from fishid.segment import FishMask, extract_mask, group_by_color, trace_contour
 from fishid.pipeline import (
     evaluate,
     extract_manifest_features,
@@ -88,10 +97,12 @@ class TestAnalyzeImage:
         rescanned = FishMask.from_bits(mask.bits)
         assert (mask.area, mask.bbox) == (rescanned.area, rescanned.bbox)
 
-    def test_mirrored_image_leaves_the_input_alone(self):
-        """A right-facing fish's image is a reversed view of a frame the
-        pipeline made, not of the caller's pixels."""
-        spec = synthgen.default_families()[0]
+    @pytest.mark.parametrize("family", range(7))
+    def test_mirrored_frames_are_contiguous_copies(self, family):
+        """A right-facing fish's image and mask bits are C-contiguous frames
+        the pipeline made, equal to the unmirrored frames reversed; the
+        caller's pixels are neither shared nor changed."""
+        spec = synthgen.default_families()[family]
         seed = next(s for s in range(50) if not synthgen.render_params(spec, s).head_left)
         img = synthgen.render_fish(spec, seed, synthgen.SynthConfig())
         before = img.pixels.copy()
@@ -99,10 +110,15 @@ class TestAnalyzeImage:
         analysis = pipeline.analyze_image(img, config)
         unified, bg = unify_background(median_filter(img, 1), config.preprocess)
         rotated = normalize_rotation(unified, bg)
-        assert find_head_side(extract_mask(rotated, bg, config.fg_tolerance)) == "right"
+        mask = extract_mask(rotated, bg, config.fg_tolerance)
+        assert find_head_side(mask) == "right"
+        pairs = ((analysis.image.pixels, rotated.pixels), (analysis.mask.bits, mask.bits))
+        for got, unmirrored in pairs:
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, unmirrored[:, ::-1])
+            assert not np.shares_memory(got, img.pixels)
         assert np.array_equal(img.pixels, before)
-        assert not np.shares_memory(img.pixels, analysis.image.pixels)
-        assert np.array_equal(analysis.image.pixels, rotated.pixels[:, ::-1].copy())
+
 
 @st.composite
 def flat_scenes(draw):
@@ -140,31 +156,96 @@ def analysis_or_error(img):
         return type(exc), exc.stage
 
 
+def whole_frame_analysis(img):
+    """``analyze_image`` as the public stages, each scanning the whole frame,
+    with reversed copies for a right-facing fish: ``(image, mask, features)``,
+    or a ToolkitError's type and the stage ``analyze_image`` names."""
+    config = pipeline.PipelineConfig()
+    pre = config.preprocess
+    stage = "background"
+    try:
+        unified, bg = unify_background(median_filter(img, pre.median_radius), pre)
+        stage = "rotation"
+        rotated = normalize_rotation(unified, bg)
+        stage = "mask"
+        mask = extract_mask(rotated, bg, config.fg_tolerance)
+        if find_head_side(mask) == "right":
+            rotated = RgbImage(rotated.pixels[:, ::-1].copy())
+            mask = FishMask.from_bits(mask.bits[:, ::-1].copy())
+        stage = "contour"
+        contour = trace_contour(mask)
+        stage = "color-groups"
+        groups = group_by_color(mask, rotated, config.group_tolerance)
+        stage = "features"
+        features = extract_features(rotated, to_indexed(rotated), mask, contour, groups)
+    except ToolkitError as exc:
+        return type(exc), stage
+    return rotated, mask, features
+
+
+def assert_field(frame, bg, box, dist):
+    """``frame`` is ``bg`` outside ``box``, and ``dist`` is the int32 squared
+    distance of ``frame[box]`` to ``bg``."""
+    outside = np.ones(frame.shape[:2], dtype=bool)
+    outside[box] = False
+    assert np.all(frame[outside] == bg)
+    assert dist.dtype == np.int32
+    assert np.array_equal(dist, sq_distance(planes(frame[box]), bg))
+
+
+def assert_stage_fields(img):
+    """Each stage of ``analyze_image`` hands on the distance field of the
+    frame it returns; returns whether the rotation resampled."""
+    pre = pipeline.PipelineConfig().preprocess
+    unified, bg, box, dist = filter_and_unify(img, pre.median_radius, pre.background_tolerance)
+    if box is None:
+        assert dist is None and np.all(unified.pixels == bg)
+        return False
+    assert_field(unified.pixels, bg, box, dist)
+    if not dist.any():
+        with pytest.raises(EmptyForeground):
+            _normalize_rotation(unified, bg, box, dist)
+        return False
+    rotated, box, dist = _normalize_rotation(unified, bg, box, dist)
+    assert_field(rotated.pixels, bg, box, dist)
+    return rotated is not unified
+
+
 class TestBoundedScans:
     @settings(deadline=None, max_examples=200)
     @given(flat_scenes())
     def test_bounded_scans_equal_full_scans(self, img):
-        """``analyze_image`` hands each stage's box to the next; the public
-        stages, which scan the whole frame, must give the same result."""
+        """``analyze_image`` hands each stage's box and distance field to the
+        next and mirrors in place; the public stages, which scan the whole
+        frame, and reversed copies must give the same result."""
         bounded = analysis_or_error(img)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "filter_and_unify",
-                       lambda img, r, t: (*filter_and_unify(img, r, t)[:2], None))
-            mp.setattr(pipeline, "_normalize_rotation",
-                       lambda img, bg, box: (normalize_rotation(img, bg), None))
-            full = analysis_or_error(img)
-        if isinstance(full, tuple):
+        full = whole_frame_analysis(img)
+        if isinstance(full[0], type):
             assert bounded == full
             return
-        assert bounded.features.tobytes() == full.features.tobytes()
-        assert np.array_equal(bounded.image.pixels, full.image.pixels)
-        assert np.array_equal(bounded.mask.bits, full.mask.bits)
-        assert (bounded.mask.area, bounded.mask.bbox) == (full.mask.area, full.mask.bbox)
+        image, mask, features = full
+        assert bounded.features.tobytes() == features.tobytes()
+        assert np.array_equal(bounded.image.pixels, image.pixels)
+        assert np.array_equal(bounded.mask.bits, mask.bits)
+        assert (bounded.mask.area, bounded.mask.bbox) == (mask.area, mask.bbox)
 
     def test_all_background_frame_fails_at_the_rotation(self):
         px = np.empty((20, 30, 3), dtype=np.uint8)
         px[:] = (10, 200, 30)
         assert analysis_or_error(RgbImage(px)) == (EmptyForeground, "rotation")
+
+
+class TestDistanceField:
+    @settings(deadline=None, max_examples=200)
+    @given(flat_scenes())
+    def test_each_stage_hands_on_the_field_of_its_frame(self, img):
+        assert_stage_fields(img)
+
+    @pytest.mark.parametrize("family", range(7))
+    def test_synthgen_fish(self, family):
+        """Families 1 and 5 are resampled, the others are not."""
+        img = synthgen.render_fish(synthgen.default_families()[family], 4, synthgen.SynthConfig())
+        assert assert_stage_fields(img) == (family in (1, 5))
 
 
 # 1600x820 frames that stress the pixel passes, as the rows (ys) and columns

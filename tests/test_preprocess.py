@@ -145,14 +145,14 @@ class TestUnifyBackground:
     def test_near_background_pixel_absorbed(self):
         px = np.full((5, 5, 3), 255, dtype=np.uint8)
         px[2, 2] = (250, 250, 250)
-        out, bg, _ = filter_and_unify(RgbImage(px), 0, 10)
+        out, bg, _, _ = filter_and_unify(RgbImage(px), 0, 10)
         assert bg == (255, 255, 255)
         assert out.pixels[2, 2].tolist() == [255, 255, 255]
 
     def test_zero_tolerance_keeps_distinct_pixels(self):
         px = np.full((5, 5, 3), 255, dtype=np.uint8)
         px[2, 2] = (250, 250, 250)
-        out, bg, _ = filter_and_unify(RgbImage(px), 0, 0)
+        out, bg, _, _ = filter_and_unify(RgbImage(px), 0, 0)
         assert out.pixels[2, 2].tolist() == [250, 250, 250]
 
     def test_synthetic_fish_on_blue(self):
@@ -171,7 +171,7 @@ class TestUnifyBackground:
         px = np.zeros((4, 4, 3), dtype=np.uint8)
         px[:2, :] = (10, 0, 0)
         px[2:, :] = (0, 10, 0)
-        _, bg, _ = filter_and_unify(RgbImage(px), 0, 0)
+        _, bg, _, _ = filter_and_unify(RgbImage(px), 0, 0)
         assert bg == (0, 10, 0)
 
     def test_border_tie_orders_red_then_green_then_blue(self):
@@ -181,7 +181,7 @@ class TestUnifyBackground:
         px[0, :] = (1, 0, 0)
         px[-1, :] = (0, 1, 0)
         px[1:-1, 0] = px[1:-1, -1] = (0, 0, 200)
-        _, bg, _ = filter_and_unify(RgbImage(px), 0, 0)
+        _, bg, _, _ = filter_and_unify(RgbImage(px), 0, 0)
         assert bg == (0, 0, 200)
 
     def test_too_small(self):
@@ -192,7 +192,7 @@ class TestUnifyBackground:
         rng = np.random.default_rng(9)
         px = rng.integers(0, 256, (12, 12, 3), dtype=np.uint8)
         tolerance = 60.0
-        out, bg, _ = filter_and_unify(RgbImage(px.copy()), 0, tolerance)
+        out, bg, _, _ = filter_and_unify(RgbImage(px.copy()), 0, tolerance)
         d = np.sqrt(np.sum((px.astype(float) - bg) ** 2, axis=2))
         far = d > tolerance
         assert np.array_equal(out.pixels[far], px[far])
@@ -247,7 +247,7 @@ class TestFilterAndUnify:
         px[sel] = palette[rng.integers(0, 4, int(sel.sum()))]
         before = px.copy()
         expected, expected_bg = full_frame_filter_and_unify(px, radius, tolerance)
-        out, out_bg, box = filter_and_unify(RgbImage(px), radius, tolerance)
+        out, out_bg, box, _ = filter_and_unify(RgbImage(px), radius, tolerance)
         assert out_bg == expected_bg
         assert out.pixels.tobytes() == expected.tobytes()
         outside = np.ones((h, w), dtype=bool)
@@ -271,14 +271,14 @@ class TestFilterAndUnify:
         every pixel is flattened."""
         px = np.zeros((6, 7, 3), dtype=np.uint8)
         px[2:4, 2:5] = (255, 255, 255)
-        out, bg, _ = filter_and_unify(RgbImage(px), radius, 1e200)
+        out, bg, _, _ = filter_and_unify(RgbImage(px), radius, 1e200)
         assert bg == (0, 0, 0)
         assert not out.pixels.any()
 
     def test_synthetic_fish_matches_full_frame_path(self):
         img = synthgen.render_fish(synthgen.default_families()[2], 3, synthgen.SynthConfig())
         expected, expected_bg = full_frame_filter_and_unify(img.pixels, 1, 25.0)
-        out, bg, _ = filter_and_unify(img, 1, 25.0)
+        out, bg, _, _ = filter_and_unify(img, 1, 25.0)
         assert bg == expected_bg
         assert out.pixels.tobytes() == expected.tobytes()
 

@@ -273,7 +273,7 @@ class TestSqDistance:
 
     def test_planes_are_contiguous_channels(self):
         px = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
-        p = planes(px[:, ::-1])  # a reversed view, as a mirrored fish's crop is
+        p = planes(px[:, ::-1])  # a reversed view
         assert p.flags.c_contiguous and p.shape == (3, 2, 4)
         assert np.array_equal(p, px[:, ::-1].transpose(2, 0, 1))
 
