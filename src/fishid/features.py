@@ -57,7 +57,7 @@ import math
 import numpy as np
 
 from .errors import InconsistentInputs
-from .imageio import RgbImage, write_file
+from .imageio import RgbImage, planes, write_file
 from .preprocess import central_moments, pixel_coords
 from .segment import ColorGroups, Contour, FishMask
 
@@ -94,7 +94,14 @@ def extract_features(
     full-frame array that holds ``to_indexed(img)`` at the mask's pixels (it
     is read nowhere else). See the module docstring for layout. ``mask`` must
     be one 4-connected component, as ``FishMask`` documents: the extreme
-    points are read off its bbox crop."""
+    points are read off its bbox crop. The channel planes of that crop are
+    taken here; ``analyze_image`` hands its own to :func:`_extract_features`."""
+    return _extract_features(img, planes(mask.crop(img.pixels)), idx, mask, contour, groups)
+
+
+def _extract_features(img, p, idx, mask, contour, groups) -> np.ndarray:
+    """:func:`extract_features` given ``p``, the (3, h, w) planes of the mask's
+    bbox crop of ``img``."""
     if not img.pixels.shape[:2] == idx.shape == mask.bits.shape:
         raise InconsistentInputs("image, index and mask dimensions differ")
     if groups.pixel_count != mask.area:
@@ -163,7 +170,7 @@ def extract_features(
             f[19 + qi] = float(q.std()) / 128.0
 
     # color signature
-    dmean, vmean = _dorsum_ventral_means(mask.crop(img.pixels), bits, cyl)
+    dmean, vmean = _dorsum_ventral_means(p, bits, cyl)
     f[24:27] = dmean
     f[27:30] = vmean
     f[30:33] = (dmean - vmean + 1.0) / 2.0
@@ -207,16 +214,16 @@ def extract_features(
     return out
 
 
-def _dorsum_ventral_means(px: np.ndarray, bits: np.ndarray, cy: float):
-    """Per-channel means / 255 of the masked pixels in the rows above ``cy``
-    and in the rest (zeros for an empty part). Row y is above ``cy`` exactly
-    when y < ceil(cy). The int64 sums are below 2^53, so each quotient is
-    the correctly rounded mean, as a float64 gather-and-mean gives."""
+def _dorsum_ventral_means(p: np.ndarray, bits: np.ndarray, cy: float):
+    """Per-channel means / 255 of the masked pixels of planes ``p`` in the rows
+    above ``cy`` and in the rest (zeros for an empty part). Row y is above ``cy``
+    exactly when y < ceil(cy). The int64 sums are below 2^53, so each quotient
+    is the correctly rounded mean, as a float64 gather-and-mean gives."""
     k = math.ceil(cy)
     means = []
-    for p, b in ((px[:k], bits[:k]), (px[k:], bits[k:])):
+    for part, b in ((p[:, :k], bits[:k]), (p[:, k:], bits[k:])):
         n = np.count_nonzero(b)
-        sums = [np.add.reduce(p[..., c], None, np.int64, where=b, initial=0) for c in range(3)]
+        sums = [np.add.reduce(c, None, np.int64, where=b, initial=0) for c in part]
         means.append(np.array(sums) / n / 255.0 if n else np.zeros(3))
     return means
 

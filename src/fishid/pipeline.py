@@ -24,11 +24,11 @@ from .errors import (
     ToolkitError,
     VersionMismatch,
 )
-from .features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, extract_features, find_head_side
-from .imageio import RgbImage, decode_image, load_manifest, read_file, to_indexed, write_file
+from .features import FEATURE_COUNT, FEATURE_LAYOUT_VERSION, _extract_features, find_head_side
+from .imageio import RgbImage, decode_image, load_manifest, planes, read_file, to_indexed, write_file
 from .mlp import MlpModel, TrainConfig
 from .preprocess import PreprocessConfig, _normalize_rotation, filter_and_unify
-from .segment import Contour, FishMask, _largest_component, group_by_color, trace_contour
+from .segment import Contour, FishMask, _group_by_color, _largest_component, trace_contour
 
 MODEL_VERSION = 1
 
@@ -135,6 +135,7 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     rotated, box, dist = _staged("rotation", _normalize_rotation, unified, background, box, dist)
     mask = _staged("mask", _largest_component, rotated.pixels.shape[:2], config.fg_tolerance,
                    box, dist)
+    del dist  # its last reader: the bbox-sized planes below can take its heap space
     if find_head_side(mask) == "right":
         # both frames are the pipeline's own, and background outside their boxes
         _mirror(rotated.pixels, box, background)
@@ -142,7 +143,8 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
         _mirror(mask.bits[..., np.newaxis], (slice(y0, y0 + h), slice(x0, x0 + w)), False)
         mask = FishMask(mask.bits, mask.area, (rotated.width - x0 - w, y0, w, h))
     contour = _staged("contour", trace_contour, mask)
-    groups = _staged("color-groups", group_by_color, mask, rotated, config.group_tolerance)
+    p = planes(mask.crop(rotated.pixels))  # the color grouping's and the descriptor's
+    groups = _staged("color-groups", _group_by_color, mask, p, config.group_tolerance)
     # index only the mask's bbox, but at least two columns of it: numpy takes a
     # one-pixel row's product by a scalar dot, which rounds some ties unlike the
     # matrix-vector product of every wider row, so to_indexed(rotated) would differ
@@ -152,7 +154,7 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     box = slice(y0, y0 + h), slice(x0, x0 + w)
     idx = np.zeros(mask.bits.shape, dtype=np.uint8)
     idx[box] = to_indexed(RgbImage(rotated.pixels[box]))
-    feats = _staged("features", extract_features, rotated, idx, mask, contour, groups)
+    feats = _staged("features", _extract_features, rotated, p, idx, mask, contour, groups)
     return ImageAnalysis(rotated, mask, contour, feats)
 
 

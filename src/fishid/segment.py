@@ -21,27 +21,10 @@ from .imageio import RgbImage, distance_window, planes, sq_distance
 _MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
 
 
-def _moore_tables():
-    """The Moore step as table lookups. A pixel's code has bit i set when its
-    neighbor in direction i is foreground. Coming in with the backtrack
-    pixel in direction k, the trace probes directions k+1, k+2, ... (mod 8)
-    and steps in the first direction j that is foreground; ``step[k << 8 |
-    code]`` is that j, or 8 when no neighbor is foreground. The new backtrack
-    pixel is the one probed just before, at ``d[j-1] - d[j]`` from the new
-    pixel: ``back[j]`` is its direction."""
-    step = bytearray(8 * 256)
-    for k in range(8):
-        for code in range(256):
-            dirs = [(k + i) % 8 for i in range(1, 9) if code >> ((k + i) % 8) & 1]
-            step[k << 8 | code] = dirs[0] if dirs else 8
-    back = []
-    for j, (dx, dy) in enumerate(_MOORE):
-        px, py = _MOORE[j - 1]
-        back.append(_MOORE.index((px - dx, py - dy)))
-    return bytes(step), tuple(back)
-
-
-_STEP, _BACK = _moore_tables()
+# stepping in direction j, the new backtrack pixel is the one probed just
+# before, at d[j-1] - d[j] from the new pixel: _BACK[j] is its direction
+_BACK = tuple(_MOORE.index((px - dx, py - dy))
+              for (px, py), (dx, dy) in zip(_MOORE[-1:] + _MOORE, _MOORE))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +53,7 @@ class FishMask:
 
 @dataclass(frozen=True, eq=False)
 class Contour:
-    """Closed boundary pixel sequence; perimeter sums 1/sqrt(2) step lengths."""
+    """Closed boundary pixel sequence; perimeter sums its steps' lengths, 1 or sqrt(2)."""
 
     points: np.ndarray  # (n, 2) int64, columns (x, y)
     perimeter: float
@@ -163,40 +146,42 @@ def _label_runs(node, right, down):
 
 
 def trace_contour(mask: FishMask) -> Contour:
-    """Clockwise Moore boundary trace from the smallest row-major pixel."""
+    """Clockwise Moore boundary trace from the smallest row-major pixel,
+    probing only the neighbors of the pixels it stands on."""
     x0, y0, w, h = mask.bbox
-    crop = mask.crop(mask.bits)
-    # the bbox crop padded by one background pixel, so every neighbor exists
-    fg = np.zeros((h + 2, w + 2), dtype=np.uint8)
-    fg[1:-1, 1:-1] = crop
-    code = np.zeros((h, w), dtype=np.uint8)
-    shifted = np.empty_like(code)
-    for i, (dx, dy) in enumerate(_MOORE):
-        code |= np.left_shift(fg[1 + dy : h + 1 + dy, 1 + dx : w + 1 + dx], i, out=shifted)
-    codes = code.tobytes()
-    # flat bbox indices; a step only reaches a foreground pixel, never a
-    # neighbor outside the bbox, so an offset never wraps around a row
-    offsets = [dy * w + dx for dx, dy in _MOORE]
-    start = int(np.argmax(crop[0]))
+    # the bbox crop padded by one background pixel, so every neighbor exists;
+    # its first foreground byte is the bbox's first row-major pixel
+    fg = np.zeros((h + 2, w + 2), dtype=bool)
+    fg[1:-1, 1:-1] = mask.crop(mask.bits)
+    fg = fg.tobytes()
+    # coming in with the backtrack pixel in direction k, the trace probes
+    # directions k+1, ..., k+8 (mod 8) and steps in the first foreground one:
+    # probes[k] holds each probe's flat offset, the backtrack it leaves, and
+    # that backtrack's bit
+    moves = [(dy * (w + 2) + dx, b, 1 << b) for (dx, dy), b in zip(_MOORE, _BACK)]
+    probes = [moves[k + 1 :] + moves[: k + 1] for k in range(8)]
+    start = fg.index(1)
     # a state is (pixel, backtrack direction); entry is from the west
     cur, k = start, 0
-    seen = bytearray(w * h)  # bit k of a pixel's byte: the trace stood there with backtrack k
+    seen = bytearray(len(fg))  # bit k of a pixel's byte: the trace stood there with backtrack k
     seen[start] = 1
     points = [start]
     while True:
-        j = _STEP[k << 8 | codes[cur]]
-        if j == 8:
+        for off, k, bit in probes[k]:
+            if fg[cur + off]:
+                break
+        else:
             break  # isolated pixel
-        cur += offsets[j]
-        k = _BACK[j]
-        if seen[cur] >> k & 1:
+        cur += off
+        s = seen[cur]
+        if s & bit:
             break
-        seen[cur] |= 1 << k
+        seen[cur] = s | bit
         points.append(cur)
     if len(points) >= 2 and points[-1] == points[0]:
         points.pop()
     flat = np.array(points, dtype=np.int64)
-    pts = np.stack((flat % w + x0, flat // w + y0), axis=1)
+    pts = np.stack((flat % (w + 2) + (x0 - 1), flat // (w + 2) + (y0 - 1)), axis=1)
     diffs = pts - np.roll(pts, 1, axis=0)  # includes the closing step
     perim = float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
     return Contour(pts, perim)
@@ -230,11 +215,17 @@ def divide_segments(mask: FishMask, img: RgbImage, k: int):
 
 def group_by_color(mask: FishMask, img: RgbImage, eps: float) -> ColorGroups:
     """Group 4-adjacent foreground pixels whose colors differ by at most
-    ``eps`` (Euclidean RGB); groups are maximal under that relation."""
+    ``eps`` (Euclidean RGB); groups are maximal under that relation. The
+    channel planes of the mask's bbox crop are taken here; ``analyze_image``
+    hands its own to :func:`_group_by_color`."""
+    return _group_by_color(mask, planes(mask.crop(img.pixels)), eps)
+
+
+def _group_by_color(mask: FishMask, p: np.ndarray, eps: float) -> ColorGroups:
+    """:func:`group_by_color` given ``p``, the (3, h, w) planes of the bbox crop."""
     if not eps >= 0:
         raise InvalidConfig("eps must be >= 0")
     bits = mask.crop(mask.bits)
-    p = planes(mask.crop(img.pixels))
     # 4-neighbors are linked when their colors are within eps; the groups are
     # the components of that graph, one per root
     tol = eps * eps

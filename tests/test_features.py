@@ -18,7 +18,7 @@ from fishid.features import (
     triangle_area,
     write_features_csv,
 )
-from fishid.imageio import RgbImage, to_indexed
+from fishid.imageio import RgbImage, planes, to_indexed
 from fishid.pipeline import PipelineConfig, analyze_image
 from fishid.preprocess import central_moments
 from fishid.segment import ColorGroups, FishMask, extract_mask, group_by_color, trace_contour
@@ -306,7 +306,7 @@ class TestDorsumVentralMeans:
             rgb[sel].mean(axis=0) / 255.0 if sel.any() else np.zeros(3)
             for sel in (dorsum, ~dorsum)
         ]
-        got = _dorsum_ventral_means(px, bits, cy)
+        got = _dorsum_ventral_means(planes(px), bits, cy)
         assert [m.tobytes() for m in got] == [m.tobytes() for m in expected]
 
 

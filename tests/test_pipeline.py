@@ -248,14 +248,25 @@ class TestDistanceField:
         assert assert_stage_fields(img) == (family in (1, 5))
 
 
+def spiral(ys, xs):
+    """A one-pixel-wide square spiral inside a two-pixel margin: the even
+    rings r of the frame, each cut just below its top-left corner, where a
+    pixel of odd ring r + 1 joins it to ring r + 2."""
+    h, w = ys.shape
+    r = np.minimum(np.minimum(ys, xs), np.minimum(h - 1 - ys, w - 1 - xs)) - 2
+    return (r >= 0) & ((r % 2 == 0) != ((xs == r + 2) & (ys == xs + 1)))
+
+
 # 1600x820 frames that stress the pixel passes, as the rows (ys) and columns
 # (xs) drawn dark on white: concentric rings, a one-pixel checkerboard, 50%
-# binary noise and one color everywhere
+# binary noise, one color everywhere, and a spiral whose contour walks both
+# sides of a 650k-pixel path
 ADVERSARIAL = {
     "rings": lambda ys, xs: np.hypot(ys - 410, xs - 800).astype(np.int64) // 8 % 2 == 1,
     "checkerboard": lambda ys, xs: (ys + xs) % 2 == 1,
     "noise": lambda ys, xs: np.random.default_rng(0).random(ys.shape) < 0.5,
     "all-foreground": lambda ys, xs: np.ones(ys.shape, dtype=bool),
+    "spiral": spiral,
 }
 
 

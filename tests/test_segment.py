@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -87,10 +88,11 @@ MOORE = ((-1, 0), (-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1))
 MOORE_INDEX = {d: i for i, d in enumerate(MOORE)}
 
 
-def reference_trace(mask):
+def reference_trace(mask, probes=None):
     """The per-step Moore trace: probe the neighbors one by one, clockwise
     from the backtrack pixel, and stop when a (pixel, backtrack) state
-    repeats."""
+    repeats. Each step's probe count is appended to ``probes`` if given
+    (8 for an isolated pixel, which finds no step)."""
     bits = mask.bits
     h, w = bits.shape
     y0 = mask.bbox[1]
@@ -114,6 +116,8 @@ def reference_trace(mask):
                 pdx, pdy = MOORE[(k + i - 1) % 8]
                 step = ((cx + dx, cy + dy), (cx + pdx, cy + pdy))
                 break
+        if probes is not None:
+            probes.append(i)
         if step is None:
             break  # isolated pixel
         if step == state0 or step in seen:
@@ -129,6 +133,10 @@ def reference_trace(mask):
     diffs = pts - np.roll(pts, 1, axis=0)  # includes the closing step
     perim = float(np.hypot(diffs[:, 0], diffs[:, 1]).sum())
     return Contour(pts, perim)
+
+
+CONTOUR_KINDS = ["blob", "pixel", "line", "diagonal", "holes",
+                 "edge-holes", "spiral", "ring", "chain", "tiny"]
 
 
 def contour_test_mask(kind, h, w, seed, pads):
@@ -155,6 +163,44 @@ def contour_test_mask(kind, h, w, seed, pads):
     elif kind == "holes":
         core[:] = True
         core[1:-1, 1:-1] = rng.random((max(h - 2, 0), max(w - 2, 0))) >= 0.3
+    elif kind == "edge-holes":  # holes in the two outermost rings only
+        core[:] = rng.random((h, w)) >= 0.3
+        core[2:-2, 2:-2] = True
+    elif kind == "spiral":  # one pixel wide, clockwise inward, then turned or mirrored
+        y = x = 0
+        dy, dx, turns = 0, 1, 0
+        core[0, 0] = True
+        while turns < 2:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w and not core[ny, nx] and not (
+                0 <= ny + dy < h and 0 <= nx + dx < w and core[ny + dy, nx + dx]
+            ):
+                y, x, turns = ny, nx, 0
+                core[y, x] = True
+            else:
+                dy, dx, turns = dx, -dy, turns + 1
+        core = np.rot90(core[:, ::-1] if rng.random() < 0.5 else core, 2 * int(rng.integers(2)))
+    elif kind == "ring":  # one pixel wide: a rectangle's outline, or a diamond of diagonal steps
+        if rng.random() < 0.5:
+            core[:] = True
+            core[1:-1, 1:-1] = False
+        else:
+            ys, xs = np.mgrid[:h, :w]
+            r = min(h, w) // 2
+            core = np.abs(ys - r) + np.abs(xs - r) == r
+    elif kind == "chain":  # a random walk of diagonal steps only
+        y, x = int(rng.integers(h)), int(rng.integers(w))
+        for _ in range(h * w // 2 + 1):
+            core[y, x] = True
+            dy, dx = rng.choice((-1, 1), 2)
+            y = y + dy if 0 <= y + dy < h else y - dy if 0 <= y - dy < h else y
+            x = x + dx if 0 <= x + dx < w else x - dx if 0 <= x - dx < w else x
+    elif kind == "tiny":  # one pixel, or two at any of its eight neighbors
+        y, x = int(rng.integers(h)), int(rng.integers(w))
+        core[y, x] = True
+        dx, dy = MOORE[rng.integers(8)]
+        if rng.random() < 0.5 and 0 <= y + dy < h and 0 <= x + dx < w:
+            core[y + dy, x + dx] = True
     if not core.any():
         core[rng.integers(h), rng.integers(w)] = True
     top, bottom, left, right = pads
@@ -482,9 +528,9 @@ class TestTraceContour:
         shoelace = abs(float(x @ np.roll(y, -1) - np.roll(x, -1) @ y)) / 2.0
         assert shoelace <= mask.area <= shoelace + c.perimeter
 
-    @settings(deadline=None, max_examples=400)
+    @settings(deadline=None, max_examples=800)
     @given(
-        st.sampled_from(["blob", "pixel", "line", "diagonal", "holes"]),
+        st.sampled_from(CONTOUR_KINDS),
         st.integers(1, 14),
         st.integers(1, 14),
         st.integers(0, 2**32 - 1),
@@ -497,6 +543,15 @@ class TestTraceContour:
         assert got.points.shape == want.points.shape
         assert got.points.tobytes() == want.points.tobytes()
         assert got.perimeter == want.perimeter
+
+    def test_kinds_need_every_probe_count(self):
+        """The shapes above make the trace probe 1 to 8 neighbors for a step:
+        6 and 7 at the tips and corners of one-pixel-wide shapes, 8 for an
+        isolated pixel."""
+        probes = []
+        for kind, seed in itertools.product(CONTOUR_KINDS, range(20)):
+            reference_trace(contour_test_mask(kind, 9, 9, seed, (1, 1, 1, 1)), probes)
+        assert set(probes) == set(range(1, 9))
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_comb_frame_memory_is_bounded(self):
