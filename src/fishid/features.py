@@ -94,20 +94,21 @@ def extract_features(
     full-frame array that holds ``to_indexed(img)`` at the mask's pixels (it
     is read nowhere else). See the module docstring for layout. ``mask`` must
     be one 4-connected component, as ``FishMask`` documents: the extreme
-    points are read off its bbox crop. The channel planes of that crop are
-    taken here; ``analyze_image`` hands its own to :func:`_extract_features`."""
-    return _extract_features(img, planes(mask.crop(img.pixels)), idx, mask, contour, groups)
-
-
-def _extract_features(img, p, idx, mask, contour, groups) -> np.ndarray:
-    """:func:`extract_features` given ``p``, the (3, h, w) planes of the mask's
-    bbox crop of ``img``."""
+    points are read off its bbox crop. The bbox crops of the channel planes
+    and of ``idx`` are taken here; ``analyze_image`` hands its own to
+    :func:`_extract_features`."""
     if not img.pixels.shape[:2] == idx.shape == mask.bits.shape:
         raise InconsistentInputs("image, index and mask dimensions differ")
+    return _extract_features(planes(mask.crop(img.pixels)), mask.crop(idx), mask, contour, groups)
+
+
+def _extract_features(p, ib, mask, contour, groups) -> np.ndarray:
+    """:func:`extract_features` given ``p`` and ``ib``, the (3, h, w) planes
+    and the (h, w) intensity index of the mask's bbox crop of the image."""
     if groups.pixel_count != mask.area:
         raise InconsistentInputs("color groups do not match the mask")
 
-    W, H = img.width, img.height
+    H, W = mask.bits.shape
     x0, y0, w, h = mask.bbox
     A = mask.area
     P = contour.perimeter
@@ -115,7 +116,6 @@ def _extract_features(img, p, idx, mask, contour, groups) -> np.ndarray:
     bits = mask.crop(mask.bits)
     ys, xs = pixel_coords(bits)  # bbox-local, row-major
     cxl, cyl, s20, s02, s11 = central_moments(ys, xs)
-    ib = mask.crop(idx)
     iv = ib[bits]  # in the same order
     cpts = contour.points - np.array([x0, y0], dtype=np.int64)
 
@@ -158,7 +158,7 @@ def _extract_features(img, p, idx, mask, contour, groups) -> np.ndarray:
     rear_cols = max(1, (2 * w + 5) // 10)  # round(w / 5)
     f[17] = float(np.count_nonzero(bits[:, w - rear_cols :])) / (rear_cols * h)
 
-    f[18] = _boundary_count(bits) / A
+    f[18] = (A - _interior_count(bits)) / A
 
     # per-quadrant intensity spread; row y is in the top half exactly when
     # y < h / 2, column x in the left half exactly when x < w / 2
@@ -228,11 +228,13 @@ def _dorsum_ventral_means(p: np.ndarray, bits: np.ndarray, cy: float):
     return means
 
 
-def _boundary_count(bits: np.ndarray) -> int:
-    """Pixels with a false 4-neighbor or on the raster edge; on the bbox crop
-    the count equals the full frame's, whose mask ends at the bbox."""
+def _interior_count(bits: np.ndarray) -> int:
+    """Foreground pixels whose four 4-neighbors are all foreground (a pixel on
+    the raster edge lacks some). The mask's other pixels are its boundary
+    (f18); on the bbox crop they are the full frame's, whose mask ends at the
+    bbox."""
     inner = bits[1:-1, 1:-1] & bits[:-2, 1:-1] & bits[2:, 1:-1] & bits[1:-1, :-2] & bits[1:-1, 2:]
-    return int(np.count_nonzero(bits)) - int(np.count_nonzero(inner))
+    return int(np.count_nonzero(inner))
 
 
 def _hull_area(bits: np.ndarray) -> float:

@@ -228,11 +228,16 @@ def encode_bmp(img: RgbImage) -> bytes:
 def to_indexed(img: RgbImage) -> np.ndarray:
     """Map each pixel to its 0..255 intensity index (black .. white); returns
     an (h, w) uint8 array, the bytes of ``floor(pixels.astype(float64) @ _LUMA
-    + 0.5)``. That product is one BLAS dot per image row, whose result does not
-    depend on where the row sits in memory, so it runs over the ``_bands`` of
-    its float64 rows: no temporary grows with the image."""
+    + 0.5)``. That product is one BLAS matrix-vector product per image row,
+    whose result does not depend on where the row sits in memory, so it runs
+    over the ``_bands`` of its float64 rows: no temporary grows with the image.
+    A one-pixel row numpy takes by a scalar dot instead, which rounds some
+    ties otherwise, so a one-column image is indexed as its pixels repeated to
+    two columns: every pixel then has the index it has in any wider row."""
     px = img.pixels
     h, w, _ = px.shape
+    if w == 1:
+        return to_indexed(RgbImage(np.repeat(px, 2, axis=1)))[:, :1].copy()
     out = np.empty((h, w), dtype=np.uint8)
     for band in _bands(h, 8 * w):
         lum = px[band].astype(np.float64) @ _LUMA

@@ -55,12 +55,11 @@ class PipelineConfig:
 
 @dataclass
 class ImageAnalysis:
-    """Intermediates produced while turning an image into features. For a
-    mirrored (right-facing) fish, ``image.pixels`` and ``mask.bits`` hold
-    the unmirrored frames reversed left to right, in C-contiguous arrays
-    that the pipeline made."""
+    """What ``analyze_image`` makes of an image: the fish's mask, its contour
+    and its descriptor. For a mirrored (right-facing) fish, ``mask.bits`` is
+    the unmirrored mask reversed left to right, in a C-contiguous frame that
+    the pipeline made."""
 
-    image: RgbImage  # after filtering, background unification, rotation
     mask: FishMask
     contour: Contour
     features: np.ndarray
@@ -103,29 +102,16 @@ def _staged(stage, fn, *args):
         raise
 
 
-def _mirror(frame, box, fill) -> None:
-    """Mirror ``frame`` (h, w, channels) left to right in place, given that it
-    holds ``fill`` everywhere outside ``frame[box]``: only the box moves. It
-    moves one channel at a time, which numpy reverses several times faster
-    than whole pixels, so the frame stays C-contiguous at little cost."""
-    rows, cols = box
-    w = frame.shape[1]
-    crop = frame[box]
-    src = crop.copy()
-    crop[:] = np.full(crop.shape[1:], fill, frame.dtype)  # a row: broadcasting a pixel is slow
-    dst = frame[rows, w - cols.stop : w - cols.start]
-    for c in range(frame.shape[2]):
-        dst[..., c] = src[:, ::-1, c]
-
-
 def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     """Run the preprocessing/segmentation/feature chain on a decoded image.
 
-    After rotation normalization the image is mirrored if the head is on the
+    After rotation normalization the fish is mirrored if the head is on the
     right, so every downstream descriptor sees a fish facing left; facing is
     an irrelevant transformation for recognition and canonicalizing it keeps
-    the descriptors unimodal per class. The flip is an exact index reversal,
-    done in place on the pipeline's own frames.
+    the descriptors unimodal per class. The flip is an exact index reversal
+    of the views that later stages read, the bbox crops of the rotated pixels
+    and of their intensity index, and a mirrored copy of the mask, whose bbox
+    is mirrored arithmetically.
     """
     pre = config.preprocess
     # each stage hands on a box outside which its output is background, and
@@ -136,26 +122,20 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     mask = _staged("mask", _largest_component, rotated.pixels.shape[:2], config.fg_tolerance,
                    box, dist)
     del dist  # its last reader: the bbox-sized planes below can take its heap space
+    crop = mask.crop(rotated.pixels)
+    ib = to_indexed(RgbImage(crop))
     if find_head_side(mask) == "right":
-        # both frames are the pipeline's own, and background outside their boxes
-        _mirror(rotated.pixels, box, background)
+        crop, ib = crop[:, ::-1], ib[:, ::-1]
         x0, y0, w, h = mask.bbox
-        _mirror(mask.bits[..., np.newaxis], (slice(y0, y0 + h), slice(x0, x0 + w)), False)
-        mask = FishMask(mask.bits, mask.area, (rotated.width - x0 - w, y0, w, h))
+        x0 = rotated.width - x0 - w
+        bits = np.zeros_like(mask.bits)
+        bits[y0 : y0 + h, x0 : x0 + w] = mask.crop(mask.bits)[:, ::-1]
+        mask = FishMask(bits, mask.area, (x0, y0, w, h))
     contour = _staged("contour", trace_contour, mask)
-    p = planes(mask.crop(rotated.pixels))  # the color grouping's and the descriptor's
+    p = planes(crop)  # the color grouping's and the descriptor's
     groups = _staged("color-groups", _group_by_color, mask, p, config.group_tolerance)
-    # index only the mask's bbox, but at least two columns of it: numpy takes a
-    # one-pixel row's product by a scalar dot, which rounds some ties unlike the
-    # matrix-vector product of every wider row, so to_indexed(rotated) would differ
-    x0, y0, w, h = mask.bbox
-    if w == 1 < rotated.width:
-        x0, w = min(x0, rotated.width - 2), 2
-    box = slice(y0, y0 + h), slice(x0, x0 + w)
-    idx = np.zeros(mask.bits.shape, dtype=np.uint8)
-    idx[box] = to_indexed(RgbImage(rotated.pixels[box]))
-    feats = _staged("features", _extract_features, rotated, p, idx, mask, contour, groups)
-    return ImageAnalysis(rotated, mask, contour, feats)
+    feats = _staged("features", _extract_features, p, ib, mask, contour, groups)
+    return ImageAnalysis(mask, contour, feats)
 
 
 def _read_image(path) -> RgbImage:
@@ -169,7 +149,8 @@ def _classify(bundle: TrainedBundle, features):
 
 
 def run_pipeline(path, bundle: TrainedBundle) -> PipelineResult:
-    """Classify one image file, returning the label plus all intermediates."""
+    """Classify one image file: the label, the network's scores, the class
+    index and the image's analysis (mask, contour, descriptor)."""
     analysis = analyze_image(_read_image(path), bundle.config)
     scores, class_index = _classify(bundle, analysis.features)
     label = _staged("registry", bundle.registry.label, class_index)

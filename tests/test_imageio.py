@@ -276,6 +276,17 @@ class TestIndexed:
         ):
             assert to_indexed(RgbImage(view)).tobytes() == want.tobytes()
 
+    def test_one_column_indexes_like_a_wider_row(self):
+        """numpy takes a one-pixel row's product by a scalar dot, which rounds
+        thousands of the tie colors otherwise than the matrix-vector product
+        of every wider row; a one-column frame must not."""
+        column = tie_colors()[:, np.newaxis]
+        got = to_indexed(RgbImage(column))
+        for width in (2, 7):
+            wide = to_indexed(RgbImage(np.repeat(column, width, axis=1)))
+            for x in range(width):
+                assert got[:, 0].tobytes() == wide[:, x].tobytes()
+
     @pytest.mark.parametrize("width", [1, 7, BAND - 1, BAND, BAND + 1, 1600])
     def test_bands_equal_the_one_shot_product(self, width):
         """Frames of whole bands and a 3-row last band, tiled with every tie
@@ -290,7 +301,13 @@ class TestIndexed:
         spots[: len(ties)] = False  # every tie color appears at least once
         px[spots] = rng.integers(0, 256, (int(spots.sum()), 3), dtype=np.uint8)
         frame = px.reshape(height, width, 3)
-        full = one_shot_indexed(frame)
+
+        def oracle(view):  # a one-column frame is indexed as its pixels in a wider row
+            if width == 1:
+                return one_shot_indexed(np.repeat(view, 2, axis=1))[:, :1]
+            return one_shot_indexed(view)
+
+        full = oracle(frame)
         cut = (slice(1, -1), slice(1, -1) if width > 2 else slice(None))
         for view, want in (
             (frame, full),
@@ -299,7 +316,7 @@ class TestIndexed:
             (frame[:, ::-1][cut], full[:, ::-1][cut]),
         ):
             got = to_indexed(RgbImage(view))
-            assert got.tobytes() == want.tobytes() == one_shot_indexed(view).tobytes()
+            assert got.tobytes() == want.tobytes() == oracle(view).tobytes()
 
     def test_temporaries_stay_under_a_mebibyte(self):
         """At 1600x820 the one-shot product's float64 temporaries peaked at

@@ -99,9 +99,9 @@ class TestAnalyzeImage:
 
     @pytest.mark.parametrize("family", range(7))
     def test_mirrored_frames_are_contiguous_copies(self, family):
-        """A right-facing fish's image and mask bits are C-contiguous frames
-        the pipeline made, equal to the unmirrored frames reversed; the
-        caller's pixels are neither shared nor changed."""
+        """A right-facing fish's mask bits are a C-contiguous frame the
+        pipeline made, equal to the unmirrored mask reversed; the caller's
+        pixels are neither shared nor changed."""
         spec = synthgen.default_families()[family]
         seed = next(s for s in range(50) if not synthgen.render_params(spec, s).head_left)
         img = synthgen.render_fish(spec, seed, synthgen.SynthConfig())
@@ -109,14 +109,12 @@ class TestAnalyzeImage:
         config = pipeline.PipelineConfig()
         analysis = pipeline.analyze_image(img, config)
         unified, bg = unify_background(median_filter(img, 1), config.preprocess)
-        rotated = normalize_rotation(unified, bg)
-        mask = extract_mask(rotated, bg, config.fg_tolerance)
+        mask = extract_mask(normalize_rotation(unified, bg), bg, config.fg_tolerance)
         assert find_head_side(mask) == "right"
-        pairs = ((analysis.image.pixels, rotated.pixels), (analysis.mask.bits, mask.bits))
-        for got, unmirrored in pairs:
-            assert got.flags.c_contiguous
-            assert np.array_equal(got, unmirrored[:, ::-1])
-            assert not np.shares_memory(got, img.pixels)
+        got = analysis.mask.bits
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, mask.bits[:, ::-1])
+        assert not np.shares_memory(got, img.pixels)
         assert np.array_equal(img.pixels, before)
 
 
@@ -158,8 +156,8 @@ def analysis_or_error(img):
 
 def whole_frame_analysis(img):
     """``analyze_image`` as the public stages, each scanning the whole frame,
-    with reversed copies for a right-facing fish: ``(image, mask, features)``,
-    or a ToolkitError's type and the stage ``analyze_image`` names."""
+    with reversed copies for a right-facing fish: ``(mask, features)``, or a
+    ToolkitError's type and the stage ``analyze_image`` names."""
     config = pipeline.PipelineConfig()
     pre = config.preprocess
     stage = "background"
@@ -180,7 +178,7 @@ def whole_frame_analysis(img):
         features = extract_features(rotated, to_indexed(rotated), mask, contour, groups)
     except ToolkitError as exc:
         return type(exc), stage
-    return rotated, mask, features
+    return mask, features
 
 
 def assert_field(frame, bg, box, dist):
@@ -216,16 +214,15 @@ class TestBoundedScans:
     @given(flat_scenes())
     def test_bounded_scans_equal_full_scans(self, img):
         """``analyze_image`` hands each stage's box and distance field to the
-        next and mirrors in place; the public stages, which scan the whole
+        next and mirrors bbox crops; the public stages, which scan the whole
         frame, and reversed copies must give the same result."""
         bounded = analysis_or_error(img)
         full = whole_frame_analysis(img)
         if isinstance(full[0], type):
             assert bounded == full
             return
-        image, mask, features = full
+        mask, features = full
         assert bounded.features.tobytes() == features.tobytes()
-        assert np.array_equal(bounded.image.pixels, image.pixels)
         assert np.array_equal(bounded.mask.bits, mask.bits)
         assert (bounded.mask.area, bounded.mask.bbox) == (mask.area, mask.bbox)
 
