@@ -79,7 +79,7 @@ def find_head_side(mask: FishMask) -> str:
     denser half a reliable head indicator for side-view silhouettes.
     """
     w = mask.bbox[2]
-    left = int(np.count_nonzero(mask.crop(mask.bits)[:, : (w + 1) // 2]))
+    left = int(np.count_nonzero(mask.box_bits[:, : (w + 1) // 2]))
     return "left" if left >= mask.area - left else "right"
 
 
@@ -97,7 +97,7 @@ def extract_features(
     points are read off its bbox crop. The bbox crops of the channel planes
     and of ``idx`` are taken here; ``analyze_image`` hands its own to
     :func:`_extract_features`."""
-    if not img.pixels.shape[:2] == idx.shape == mask.bits.shape:
+    if not img.pixels.shape[:2] == idx.shape == mask.shape:
         raise InconsistentInputs("image, index and mask dimensions differ")
     return _extract_features(planes(mask.crop(img.pixels)), mask.crop(idx), mask, contour, groups)
 
@@ -108,12 +108,12 @@ def _extract_features(p, ib, mask, contour, groups) -> np.ndarray:
     if groups.pixel_count != mask.area:
         raise InconsistentInputs("color groups do not match the mask")
 
-    H, W = mask.bits.shape
+    H, W = mask.shape
     x0, y0, w, h = mask.bbox
     A = mask.area
     P = contour.perimeter
 
-    bits = mask.crop(mask.bits)
+    bits = mask.box_bits
     ys, xs = pixel_coords(bits)  # bbox-local, row-major
     cxl, cyl, s20, s02, s11 = central_moments(ys, xs)
     iv = ib[bits]  # in the same order

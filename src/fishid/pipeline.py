@@ -56,9 +56,9 @@ class PipelineConfig:
 @dataclass
 class ImageAnalysis:
     """What ``analyze_image`` makes of an image: the fish's mask, its contour
-    and its descriptor. For a mirrored (right-facing) fish, ``mask.bits`` is
-    the unmirrored mask reversed left to right, in a C-contiguous frame that
-    the pipeline made."""
+    and its descriptor. For a mirrored (right-facing) fish, ``mask.box_bits``
+    is the unmirrored mask's bbox crop reversed left to right, in a
+    C-contiguous array that the pipeline made."""
 
     mask: FishMask
     contour: Contour
@@ -105,32 +105,30 @@ def _staged(stage, fn, *args):
 def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     """Run the preprocessing/segmentation/feature chain on a decoded image.
 
-    After rotation normalization the fish is mirrored if the head is on the
-    right, so every downstream descriptor sees a fish facing left; facing is
-    an irrelevant transformation for recognition and canonicalizing it keeps
-    the descriptors unimodal per class. The flip is an exact index reversal
-    of the views that later stages read, the bbox crops of the rotated pixels
-    and of their intensity index, and a mirrored copy of the mask, whose bbox
-    is mirrored arithmetically.
+    After decode no stage makes a frame: each hands the next the pixels of
+    the box outside which its output is background, and their squared
+    distance to the background; the mask is its bbox crop. After rotation
+    normalization the fish is mirrored if the head is on the right, so every
+    downstream descriptor sees a fish facing left; facing is an irrelevant
+    transformation for recognition and canonicalizing it keeps the
+    descriptors unimodal per class. The flip is an exact index reversal of
+    the views that later stages read, the bbox crops of the rotated pixels
+    and of their intensity index, and a reversed copy of the mask crop,
+    whose bbox is mirrored arithmetically.
     """
-    pre = config.preprocess
-    # each stage hands on a box outside which its output is background, and
-    # the squared distance to the background inside it: the next reads only that
-    unified, background, box, dist = _staged("background", filter_and_unify, img,
-                                             pre.median_radius, pre.background_tolerance)
-    rotated, box, dist = _staged("rotation", _normalize_rotation, unified, background, box, dist)
-    mask = _staged("mask", _largest_component, rotated.pixels.shape[:2], config.fg_tolerance,
-                   box, dist)
+    pre, shape = config.preprocess, img.pixels.shape[:2]
+    window, background, box, dist = _staged("background", filter_and_unify, img,
+                                            pre.median_radius, pre.background_tolerance)
+    window, box, dist = _staged("rotation", _normalize_rotation, shape, window, background, box, dist)
+    mask = _staged("mask", _largest_component, shape, config.fg_tolerance, box, dist)
     del dist  # its last reader: the bbox-sized planes below can take its heap space
-    crop = mask.crop(rotated.pixels)
+    x0, y0, w, h = mask.bbox
+    y, x = y0 - box[0].start, x0 - box[1].start  # the bbox in the window
+    crop = window[y : y + h, x : x + w]
     ib = to_indexed(RgbImage(crop))
     if find_head_side(mask) == "right":
         crop, ib = crop[:, ::-1], ib[:, ::-1]
-        x0, y0, w, h = mask.bbox
-        x0 = rotated.width - x0 - w
-        bits = np.zeros_like(mask.bits)
-        bits[y0 : y0 + h, x0 : x0 + w] = mask.crop(mask.bits)[:, ::-1]
-        mask = FishMask(bits, mask.area, (x0, y0, w, h))
+        mask = FishMask(mask.box_bits[:, ::-1].copy(), mask.area, (shape[1] - x0 - w, y0, w, h), shape)
     contour = _staged("contour", trace_contour, mask)
     p = planes(crop)  # the color grouping's and the descriptor's
     groups = _staged("color-groups", _group_by_color, mask, p, config.group_tolerance)

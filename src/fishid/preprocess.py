@@ -31,12 +31,12 @@ class PreprocessConfig:
 
 
 def median_filter(img: RgbImage, radius: int) -> RgbImage:
-    """Per-channel median over the 3x3 window, edges clamped; radius 0
-    returns ``img`` itself."""
+    """Per-channel median over the 3x3 window, edges clamped, in a new
+    array; radius 0 returns a copy of ``img``."""
     if radius not in (0, 1):
         raise InvalidConfig("radius must be 0 or 1")
     if radius == 0:
-        return img
+        return RgbImage(img.pixels.copy())
     h, w, _ = img.pixels.shape
     # interleaved rows, no size-3 axis: a pixel's row neighbours are 3 bytes away
     p = np.empty((h + 2, 3 * w + 6), dtype=np.uint8)
@@ -74,11 +74,11 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
     (ties broken by the lexicographically smallest (r, g, b)). Every filtered
     pixel within ``tolerance`` of it is replaced by it exactly.
 
-    Returns ``(image, background_color, box, dist)``: the image is a new
-    array, background outside ``box`` (a pair of slices, or None when every
-    pixel of ``img`` is the background), and ``dist`` (None with ``box``) is
-    the int32 ``sq_distance(planes(image.pixels[box]), background_color)``:
-    the near-background test's distances, with the flattened pixels at 0.
+    Returns ``(window, background_color, box, dist)``: the output is the
+    background outside ``box``, a pair of slices; ``window`` is a new array
+    of its pixels in ``box``, and ``dist`` their int32 squared distance to
+    the background, the near-background test's, with the flattened pixels at
+    0. All three are None when every pixel of ``img`` is the background.
     """
     if not tolerance >= 0:  # NaN fails too
         raise InvalidConfig("tolerance must be >= 0")
@@ -96,31 +96,39 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
     colors, counts = np.unique(keys, return_counts=True)
     key = int(colors[int(np.argmax(counts))])
     color = (key >> 16, (key >> 8) & 255, key & 255)
-    out = filled(img.height, img.width, color)
     box = differs_window(px, color)
-    grown = box and tuple(slice(max(s.start - r, 0), s.stop + r) for s in box)
-    dist = None
+    if box is None:
+        return None, color, None, None
+    # outside the differing box grown by r, every clamped window holds only
+    # the background, so the output there is the background. Each edge of the
+    # grown box is the frame's edge or a background line, so clamping at the
+    # box reads the colors that clamping at the frame reads.
+    grown = tuple(slice(max(s.start - r, 0), s.stop + r) for s in box)
+    win = median_filter(RgbImage(px[grown]), r).pixels
+    dist = sq_distance(planes(win), color)
+    near = dist <= tolerance * tolerance
+    h, w = near.shape
+    # one masked copy over the interleaved rows; indexing by pixel moves 3 bytes a step
+    np.copyto(win.reshape(h, 3 * w), np.tile(np.asarray(color, dtype=np.uint8), w),
+              where=np.stack((near, near, near), axis=-1).reshape(h, 3 * w))
+    dist[near] = 0
+    return win, color, grown, dist
+
+
+def _framed(shape, window, box, color) -> RgbImage:
+    """A ``color`` frame of ``shape`` (h, w) holding ``window`` at ``box``, if not None."""
+    out = filled(*shape, color)
     if box is not None:
-        # outside the differing box grown by r, every clamped window holds
-        # only the background, so the output there is the background. Each
-        # edge of the grown box is the frame's edge or a background line, so
-        # clamping at the box reads the colors that clamping at the frame reads.
-        win = out[grown]
-        win[:] = median_filter(RgbImage(px[grown]), r).pixels
-        dist = sq_distance(planes(win), color)
-        near = dist <= tolerance * tolerance
-        h, w = near.shape
-        # one masked copy over the interleaved rows; indexing by pixel moves 3 bytes a step
-        np.copyto(win.reshape(h, 3 * w), np.tile(np.asarray(color, dtype=np.uint8), w),
-                  where=np.stack((near, near, near), axis=-1).reshape(h, 3 * w))
-        dist[near] = 0
-    return RgbImage(out), color, grown, dist
+        out[box] = window
+    return RgbImage(out)
 
 
 def unify_background(img: RgbImage, cfg: PreprocessConfig):
     """Detect the background color and flatten everything near it:
-    :func:`filter_and_unify` with radius 0. Returns ``(image, background_color)``."""
-    return filter_and_unify(img, 0, cfg.background_tolerance)[:2]
+    :func:`filter_and_unify` with radius 0, its window pasted into a new
+    frame. Returns ``(image, background_color)``."""
+    win, color, box, _ = filter_and_unify(img, 0, cfg.background_tolerance)
+    return _framed(img.pixels.shape[:2], win, box, color), color
 
 
 def pixel_coords(bits):
@@ -157,32 +165,32 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     background color. Inputs already within half a degree of horizontal are
     returned unchanged.
     """
-    field = distance_window(img.pixels, background_color)
-    return _normalize_rotation(img, background_color, *field)[0]
+    shape = img.pixels.shape[:2]
+    box, dist = distance_window(img.pixels, background_color)
+    win, box, _ = _normalize_rotation(shape, box and img.pixels[box], background_color, box, dist)
+    return img if np.may_share_memory(win, img.pixels) else _framed(shape, win, box, background_color)
 
 
-def _normalize_rotation(img: RgbImage, background_color, box, dist):
-    """:func:`normalize_rotation` of an image that is background outside ``box``
-    (None: everywhere), given ``dist``, the int32 squared distance of
-    ``img.pixels[box]`` to the background; the foreground is where it is
-    above 0. Returns ``(image, box, dist)`` of the output in the same terms.
-    A resampled output's ``dist`` is resampled with its pixels, so it is the
-    distance of the pixels it holds."""
+def _normalize_rotation(shape, px, background_color, box, dist):
+    """:func:`normalize_rotation` of a frame of ``shape`` (h, w) that is
+    background outside ``box`` (None: everywhere), given ``px`` and ``dist``,
+    its pixels in ``box`` and their int32 squared distance to the background;
+    the foreground is where that is above 0. Returns ``(window, box, dist)``
+    of the output in the same terms: views of the tight foreground box when
+    it is not resampled, else new arrays, clipped to the frame."""
     if box is None or not (fg := dist > 0).any():
         raise EmptyForeground("image has no non-background pixels")
     rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
     tight = slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
-    fg, dist = fg[tight], dist[tight]
+    fg, dist, px = fg[tight], dist[tight], px[tight]
     bh, bw = fg.shape
     y0, x0 = box[0].start + tight[0].start, box[1].start + tight[1].start
-    box = slice(y0, y0 + bh), slice(x0, x0 + bw)
-    box_px = img.pixels[box]
     ys, xs = pixel_coords(fg)
     cx, cy, s20, s02, s11 = central_moments(ys, xs)
     theta = 0.5 * math.atan2(2.0 * s11, s20 - s02)
     if abs(theta) < _ROTATION_SKIP_RAD:
-        return img, box, dist
-    h, w = img.height, img.width
+        return px, (slice(y0, y0 + bh), slice(x0, x0 + bw)), dist
+    h, w = shape
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     # output pixel p maps to source R(theta) (p - c) + c, all in local coords;
     # rounding in local coords keeps translation exact. Every source pixel
@@ -202,11 +210,11 @@ def _normalize_rotation(img: RgbImage, background_color, box, dist):
     # the fish bbox inside a one-pixel background border: a source clipped to
     # [-1, bw] x [-1, bh] lands on the border when it is outside the bbox
     fish = filled(bh + 2, bw + 2, background_color)
-    fish[1:-1, 1:-1] = box_px
+    fish[1:-1, 1:-1] = px
     fish = fish.reshape(-1, 3)
     fish_dist = np.pad(dist, 1).ravel()  # the border is at distance 0
-    out = filled(h, w, background_color)
-    win = out[wy0:wy1, wx0:wx1]
+    # every band writes all of its rows
+    win = np.empty((wy1 - wy0, wx1 - wx0, 3), dtype=np.uint8)
     win_dist = np.empty(win.shape[:2], dtype=np.int32)
     for band in _bands(wy1 - wy0, u.nbytes):
         src_x = cos_u - sin_v[band] + cx
@@ -216,4 +224,4 @@ def _normalize_rotation(img: RgbImage, background_color, box, dist):
         flat = ((src_y + 1) * (bw + 2) + (src_x + 1)).astype(np.intp)  # exact in float64
         win[band] = np.take(fish, flat, axis=0)
         win_dist[band] = np.take(fish_dist, flat)
-    return RgbImage(out), (slice(wy0, wy1), slice(wx0, wx1)), win_dist
+    return win, (slice(wy0, wy1), slice(wx0, wx1)), win_dist

@@ -29,24 +29,30 @@ _BACK = tuple(_MOORE.index((px - dx, py - dy))
 
 @dataclass(frozen=True, eq=False)
 class FishMask:
-    """Binary foreground of a single 4-connected component."""
+    """Binary foreground of a single 4-connected component: its bbox crop."""
 
-    bits: np.ndarray  # (h, w) bool
+    box_bits: np.ndarray  # (h, w) bool, the bbox crop
     area: int
     bbox: tuple[int, int, int, int]  # x0, y0, w, h; holds every foreground pixel
+    shape: tuple[int, int]  # the frame's (H, W)
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> "FishMask":
         ys, xs = np.nonzero(bits)
         if ys.size == 0:
             raise EmptyForeground("mask has no foreground pixels")
-        x0, y0 = int(xs.min()), int(ys.min())
-        w = int(xs.max()) - x0 + 1
-        h = int(ys.max()) - y0 + 1
-        return cls(bits, int(ys.size), (x0, y0, w, h))
+        x0, y0, x1, y1 = int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1
+        return cls(bits[y0:y1, x0:x1], int(ys.size), (x0, y0, x1 - x0, y1 - y0), bits.shape)
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The mask as a new (H, W) frame."""
+        out = np.zeros(self.shape, dtype=bool)
+        self.crop(out)[:] = self.box_bits
+        return out
 
     def crop(self, raster: np.ndarray) -> np.ndarray:
-        """View of a full-frame raster (``bits``, pixels, index) inside the bbox."""
+        """View of a full-frame raster (pixels, index) inside the bbox."""
         x0, y0, w, h = self.bbox
         return raster[y0 : y0 + h, x0 : x0 + w]
 
@@ -99,13 +105,11 @@ def _largest_component(shape, fg_tolerance, box, dist) -> FishMask:
     # clear the losing runs' flat pixels: each start, over its run, plus the steps into it
     n = (ends - starts + 1)[~mine]
     fg.ravel()[np.repeat(starts[~mine] - (np.cumsum(n) - n), n) + np.arange(n.sum())] = False
-    bits = np.zeros(shape, dtype=bool)
-    bits[box] = fg
     w = fg.shape[1]
     x0, y0 = int((s % w).min()), int(s[0] // w)
-    bbox = (box[1].start + x0, box[0].start + y0,
-            int((e % w).max()) - x0 + 1, int(e[-1] // w) - y0 + 1)
-    return FishMask(bits, int(sizes[winner]), bbox)
+    x1, y1 = int((e % w).max()) + 1, int(e[-1] // w) + 1
+    bbox = (box[1].start + x0, box[0].start + y0, x1 - x0, y1 - y0)
+    return FishMask(fg[y0:y1, x0:x1], int(sizes[winner]), bbox, shape)
 
 
 def _label_runs(node, right, down):
@@ -152,7 +156,7 @@ def trace_contour(mask: FishMask) -> Contour:
     # the bbox crop padded by one background pixel, so every neighbor exists;
     # its first foreground byte is the bbox's first row-major pixel
     fg = np.zeros((h + 2, w + 2), dtype=bool)
-    fg[1:-1, 1:-1] = mask.crop(mask.bits)
+    fg[1:-1, 1:-1] = mask.box_bits
     fg = fg.tobytes()
     # coming in with the backtrack pixel in direction k, the trace probes
     # directions k+1, ..., k+8 (mod 8) and steps in the first foreground one:
@@ -196,12 +200,12 @@ def divide_segments(mask: FishMask, img: RgbImage, k: int):
         raise InvalidConfig("k must be >= 1")
     x0, y0, w, h = mask.bbox
     base = max(1, w // k)
-    ys, xs = np.nonzero(mask.bits)
-    colors = img.pixels[ys, xs].astype(np.float64)
+    ys, xs = np.nonzero(mask.box_bits)
+    colors = mask.crop(img.pixels)[ys, xs].astype(np.float64)
     bands = []
     for i in range(k):
-        lo = x0 + min(i * base, w)
-        hi = x0 + w if i == k - 1 else x0 + min((i + 1) * base, w)
+        lo = min(i * base, w)
+        hi = w if i == k - 1 else min((i + 1) * base, w)
         hi = max(hi, lo)
         sel = (xs >= lo) & (xs < hi)
         n = int(sel.sum())
@@ -209,7 +213,7 @@ def divide_segments(mask: FishMask, img: RgbImage, k: int):
             mean = tuple(float(v) for v in colors[sel].mean(axis=0))
         else:
             mean = (0.0, 0.0, 0.0)
-        bands.append(((int(lo), y0, int(hi - lo), h), mean, n))
+        bands.append(((x0 + lo, y0, hi - lo, h), mean, n))
     return bands
 
 
@@ -225,7 +229,7 @@ def _group_by_color(mask: FishMask, p: np.ndarray, eps: float) -> ColorGroups:
     """:func:`group_by_color` given ``p``, the (3, h, w) planes of the bbox crop."""
     if not eps >= 0:
         raise InvalidConfig("eps must be >= 0")
-    bits = mask.crop(mask.bits)
+    bits = mask.box_bits
     # 4-neighbors are linked when their colors are within eps; the groups are
     # the components of that graph, one per root
     tol = eps * eps

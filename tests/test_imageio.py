@@ -25,8 +25,9 @@ from fishid.imageio import (
     to_indexed,
     write_manifest,
 )
-from fishid.preprocess import filter_and_unify, normalize_rotation
+from fishid.preprocess import normalize_rotation
 from fishid.segment import extract_mask
+from test_preprocess import unified_frame
 
 
 def reference_decode_ppm(data: bytes) -> RgbImage:
@@ -350,7 +351,8 @@ class TestBandBudget:
         want = [pipeline.analyze_image(img, config) for img in fish]
         sides, resampled = [], []
         for img in fish[:3]:
-            unified, bg, _, _ = filter_and_unify(img, pre.median_radius, pre.background_tolerance)
+            frame, bg = unified_frame(img, pre.median_radius, pre.background_tolerance)
+            unified = RgbImage(frame)
             rotated = normalize_rotation(unified, bg)
             sides.append(find_head_side(extract_mask(rotated, bg, config.fg_tolerance)))
             resampled.append(rotated is not unified)

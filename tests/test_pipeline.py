@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from fishid.pipeline import (
     save_bundle,
     train_bundle,
 )
+from test_preprocess import framed
 
 
 def write_blank_ppm(path, w=64, h=64, color=(200, 200, 200)):
@@ -99,9 +101,9 @@ class TestAnalyzeImage:
 
     @pytest.mark.parametrize("family", range(7))
     def test_mirrored_frames_are_contiguous_copies(self, family):
-        """A right-facing fish's mask bits are a C-contiguous frame the
-        pipeline made, equal to the unmirrored mask reversed; the caller's
-        pixels are neither shared nor changed."""
+        """A right-facing fish's mask crop is a C-contiguous array the
+        pipeline made, equal to the unmirrored mask's crop reversed; the
+        caller's pixels are neither shared nor changed."""
         spec = synthgen.default_families()[family]
         seed = next(s for s in range(50) if not synthgen.render_params(spec, s).head_left)
         img = synthgen.render_fish(spec, seed, synthgen.SynthConfig())
@@ -111,11 +113,30 @@ class TestAnalyzeImage:
         unified, bg = unify_background(median_filter(img, 1), config.preprocess)
         mask = extract_mask(normalize_rotation(unified, bg), bg, config.fg_tolerance)
         assert find_head_side(mask) == "right"
-        got = analysis.mask.bits
+        got = analysis.mask.box_bits
         assert got.flags.c_contiguous
-        assert np.array_equal(got, mask.bits[:, ::-1])
+        assert np.array_equal(got, mask.box_bits[:, ::-1])
+        assert np.array_equal(analysis.mask.bits, mask.bits[:, ::-1])
         assert not np.shares_memory(got, img.pixels)
         assert np.array_equal(img.pixels, before)
+
+    @pytest.mark.parametrize("family, seed", [(3, 0), (0, 4), (5, 4)])
+    def test_no_frame_after_decode(self, family, seed):
+        """A small fish on a 1600x820 frame, facing left, facing right and
+        resampled. Each stage after decode holds only the pixels of its box,
+        so the one frame-sized temporary left is ``differs_window``'s bool
+        compare of the raw rows, as many bytes as the RGB frame. The bound
+        leaves a quarter frame for the box-sized arrays; a filled frame
+        beside the compare exceeds it."""
+        cfg = synthgen.SynthConfig(width=1600, height=820)
+        img = synthgen.render_fish(synthgen.default_families()[family], seed, cfg, 0.25)
+        tracemalloc.start()
+        try:
+            pipeline.analyze_image(img, pipeline.PipelineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * img.pixels.nbytes
 
 
 @st.composite
@@ -181,32 +202,34 @@ def whole_frame_analysis(img):
     return mask, features
 
 
-def assert_field(frame, bg, box, dist):
-    """``frame`` is ``bg`` outside ``box``, and ``dist`` is the int32 squared
-    distance of ``frame[box]`` to ``bg``."""
-    outside = np.ones(frame.shape[:2], dtype=bool)
-    outside[box] = False
-    assert np.all(frame[outside] == bg)
+def assert_field(window, bg, dist):
+    """``dist`` is the int32 squared distance of ``window`` to ``bg``."""
     assert dist.dtype == np.int32
-    assert np.array_equal(dist, sq_distance(planes(frame[box]), bg))
+    assert np.array_equal(dist, sq_distance(planes(window), bg))
 
 
 def assert_stage_fields(img):
-    """Each stage of ``analyze_image`` hands on the distance field of the
-    frame it returns; returns whether the rotation resampled."""
+    """Each stage of ``analyze_image`` hands on the pixels of its box, which
+    framed are the frame its public stage returns, and their distance field;
+    returns whether the rotation resampled."""
     pre = pipeline.PipelineConfig().preprocess
-    unified, bg, box, dist = filter_and_unify(img, pre.median_radius, pre.background_tolerance)
+    shape = img.pixels.shape[:2]
+    unified, bg = unify_background(median_filter(img, pre.median_radius), pre)
+    window, bg_window, box, dist = filter_and_unify(img, pre.median_radius, pre.background_tolerance)
+    assert bg_window == bg
+    assert framed(shape, window, bg, box).tobytes() == unified.pixels.tobytes()
     if box is None:
-        assert dist is None and np.all(unified.pixels == bg)
+        assert dist is None
         return False
-    assert_field(unified.pixels, bg, box, dist)
+    assert_field(window, bg, dist)
     if not dist.any():
         with pytest.raises(EmptyForeground):
-            _normalize_rotation(unified, bg, box, dist)
+            _normalize_rotation(shape, window, bg, box, dist)
         return False
-    rotated, box, dist = _normalize_rotation(unified, bg, box, dist)
-    assert_field(rotated.pixels, bg, box, dist)
-    return rotated is not unified
+    rotated, box, dist = _normalize_rotation(shape, window, bg, box, dist)
+    assert_field(rotated, bg, dist)
+    assert framed(shape, rotated, bg, box).tobytes() == normalize_rotation(unified, bg).pixels.tobytes()
+    return not np.shares_memory(rotated, window)
 
 
 class TestBoundedScans:

@@ -88,9 +88,13 @@ ROTATION_CASES = (
 
 class TestMedianFilter:
     def test_radius_zero_is_identity(self):
+        """Radius 0 returns the same bytes in a new array, which
+        ``filter_and_unify`` may flatten without touching the caller's pixels."""
         rng = np.random.default_rng(1)
         img = RgbImage(rng.integers(0, 256, (6, 9, 3), dtype=np.uint8))
-        assert median_filter(img, 0) is img
+        out = median_filter(img, 0).pixels
+        assert out.tobytes() == img.pixels.tobytes()
+        assert not np.shares_memory(out, img.pixels)
 
     def test_center_outlier_removed(self):
         px = np.full((3, 3, 3), 100, dtype=np.uint8)
@@ -141,19 +145,49 @@ class TestMedianFilter:
                 self, seed, radius, levels)
 
 
+def framed(shape, window, bg, box):
+    """The frame of ``shape`` (h, w) that a stage's ``(window, box)`` stands
+    for: ``bg`` outside ``box`` and ``window``, of the box's size, in it."""
+    frame = np.empty(shape + (3,), dtype=np.uint8)
+    frame[:] = bg
+    if box is None:
+        assert window is None
+    else:
+        assert window.shape == frame[box].shape
+        frame[box] = window
+    return frame
+
+
+def unified_frame(img, radius, tolerance):
+    """``filter_and_unify`` as a frame: ``(frame, background_color)``."""
+    window, bg, box, _ = filter_and_unify(img, radius, tolerance)
+    return framed(img.pixels.shape[:2], window, bg, box), bg
+
+
 class TestUnifyBackground:
     def test_near_background_pixel_absorbed(self):
         px = np.full((5, 5, 3), 255, dtype=np.uint8)
         px[2, 2] = (250, 250, 250)
-        out, bg, _, _ = filter_and_unify(RgbImage(px), 0, 10)
+        out, bg = unified_frame(RgbImage(px), 0, 10)
         assert bg == (255, 255, 255)
-        assert out.pixels[2, 2].tolist() == [255, 255, 255]
+        assert out[2, 2].tolist() == [255, 255, 255]
 
     def test_zero_tolerance_keeps_distinct_pixels(self):
         px = np.full((5, 5, 3), 255, dtype=np.uint8)
         px[2, 2] = (250, 250, 250)
-        out, bg, _, _ = filter_and_unify(RgbImage(px), 0, 0)
-        assert out.pixels[2, 2].tolist() == [250, 250, 250]
+        out, bg = unified_frame(RgbImage(px), 0, 0)
+        assert out[2, 2].tolist() == [250, 250, 250]
+
+    def test_leaves_its_input_unchanged(self):
+        """Radius 0 filters nothing, so the flattening must go to a copy."""
+        px = np.full((5, 5, 3), 255, dtype=np.uint8)
+        px[1:4, 1:4] = (250, 250, 250)
+        px[2, 2] = (0, 0, 0)
+        before = px.copy()
+        out, _ = unify_background(RgbImage(px), PreprocessConfig())
+        assert np.array_equal(px, before)
+        assert not np.shares_memory(out.pixels, px)
+        assert (out.pixels != 255).sum() == 3
 
     def test_synthetic_fish_on_blue(self):
         cfg = synthgen.SynthConfig()
@@ -192,10 +226,10 @@ class TestUnifyBackground:
         rng = np.random.default_rng(9)
         px = rng.integers(0, 256, (12, 12, 3), dtype=np.uint8)
         tolerance = 60.0
-        out, bg, _, _ = filter_and_unify(RgbImage(px.copy()), 0, tolerance)
+        out, bg = unified_frame(RgbImage(px.copy()), 0, tolerance)
         d = np.sqrt(np.sum((px.astype(float) - bg) ** 2, axis=2))
         far = d > tolerance
-        assert np.array_equal(out.pixels[far], px[far])
+        assert np.array_equal(out[far], px[far])
 
 
 def full_frame_filter_and_unify(px, radius, tolerance):
@@ -247,15 +281,11 @@ class TestFilterAndUnify:
         px[sel] = palette[rng.integers(0, 4, int(sel.sum()))]
         before = px.copy()
         expected, expected_bg = full_frame_filter_and_unify(px, radius, tolerance)
-        out, out_bg, box, _ = filter_and_unify(RgbImage(px), radius, tolerance)
+        window, out_bg, box, _ = filter_and_unify(RgbImage(px), radius, tolerance)
         assert out_bg == expected_bg
-        assert out.pixels.tobytes() == expected.tobytes()
-        outside = np.ones((h, w), dtype=bool)
-        if box is not None:
-            outside[box] = False
-        assert np.all(expected[outside] == expected_bg)
+        assert framed((h, w), window, out_bg, box).tobytes() == expected.tobytes()
         assert np.array_equal(px, before)
-        assert not np.shares_memory(out.pixels, px)
+        assert window is None or not np.shares_memory(window, px)
 
     @settings(deadline=None, max_examples=200)
     @given(*FILTER_CASES)
@@ -271,16 +301,16 @@ class TestFilterAndUnify:
         every pixel is flattened."""
         px = np.zeros((6, 7, 3), dtype=np.uint8)
         px[2:4, 2:5] = (255, 255, 255)
-        out, bg, _, _ = filter_and_unify(RgbImage(px), radius, 1e200)
+        out, bg = unified_frame(RgbImage(px), radius, 1e200)
         assert bg == (0, 0, 0)
-        assert not out.pixels.any()
+        assert not out.any()
 
     def test_synthetic_fish_matches_full_frame_path(self):
         img = synthgen.render_fish(synthgen.default_families()[2], 3, synthgen.SynthConfig())
         expected, expected_bg = full_frame_filter_and_unify(img.pixels, 1, 25.0)
-        out, bg, _, _ = filter_and_unify(img, 1, 25.0)
+        out, bg = unified_frame(img, 1, 25.0)
         assert bg == expected_bg
-        assert out.pixels.tobytes() == expected.tobytes()
+        assert out.tobytes() == expected.tobytes()
 
 
 def reference_moments(ys, xs):

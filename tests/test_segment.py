@@ -450,7 +450,7 @@ class TestExtractMask:
         px = canvas(1600, 820)
         px[rng.random((820, 1600)) < 0.5] = (255, 0, 0)
         img = RgbImage(px)
-        whole = FishMask(np.ones((820, 1600), dtype=bool), 820 * 1600, (0, 0, 1600, 820))
+        whole = FishMask(np.ones((820, 1600), dtype=bool), 820 * 1600, (0, 0, 1600, 820), (820, 1600))
         start = time.perf_counter()
         extract_mask(img, (0, 0, 255), 50.0)
         groups = group_by_color(whole, img, 10.0)
