@@ -43,9 +43,9 @@ MANIFEST_HEADER = "path,family,poison,cluster,split"
 # intensity index weights (ITU luminance); round-half-up keeps equal-channel
 # grays at their own value for every v in 0..255
 _LUMA = np.array([0.299, 0.587, 0.114])
-# the frame-sized passes (the median, the rotation, the intensity index) run in
-# bands of rows whose temporaries together stay in the L2 cache, instead of
-# faulting in fresh frame-sized pages
+# the window- and crop-sized passes (the median, the rotation, the intensity
+# index) run in bands of rows whose temporaries together stay in the L2 cache,
+# instead of faulting in fresh pages for the whole window
 _BAND_BYTES = 1 << 17
 
 # P6, then width, height and maxval: each number follows whitespace or '#'

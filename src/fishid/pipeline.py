@@ -107,7 +107,8 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
 
     After decode no stage makes a frame: each hands the next the pixels of
     the box outside which its output is background, and their squared
-    distance to the background; the mask is its bbox crop. After rotation
+    distance to the background; a pixel counts only where that is above 0,
+    and the mask, its bbox crop, gates every later read. After rotation
     normalization the fish is mirrored if the head is on the right, so every
     downstream descriptor sees a fish facing left; facing is an irrelevant
     transformation for recognition and canonicalizing it keeps the
@@ -117,9 +118,9 @@ def analyze_image(img: RgbImage, config: PipelineConfig) -> ImageAnalysis:
     whose bbox is mirrored arithmetically.
     """
     pre, shape = config.preprocess, img.pixels.shape[:2]
-    window, background, box, dist = _staged("background", filter_and_unify, img,
-                                            pre.median_radius, pre.background_tolerance)
-    window, box, dist = _staged("rotation", _normalize_rotation, shape, window, background, box, dist)
+    window, _, box, dist = _staged("background", filter_and_unify, img,
+                                   pre.median_radius, pre.background_tolerance)
+    window, box, dist = _staged("rotation", _normalize_rotation, shape, window, box, dist)
     mask = _staged("mask", _largest_component, shape, config.fg_tolerance, box, dist)
     del dist  # its last reader: the bbox-sized planes below can take its heap space
     x0, y0, w, h = mask.bbox

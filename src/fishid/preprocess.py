@@ -1,10 +1,11 @@
 """Noise removal, background unification, and rotation normalization.
 
-All three operations are pure functions over :class:`~fishid.imageio.RgbImage`
-values. Rotation normalization is written so that every real-valued quantity
-is computed in bounding-box-local coordinates; translating the foreground by
-whole pixels therefore translates the output exactly, which downstream
-feature extraction relies on.
+Stages hand on a box's pixels and their squared distance to the background;
+a pixel is background where that is 0, whatever its bytes, and only
+:func:`_framed`, behind the public wrappers, paints that rule into a frame.
+Rotation normalization computes every real-valued quantity in
+bounding-box-local coordinates; translating the foreground by whole pixels
+therefore translates the output exactly, which feature extraction relies on.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ class PreprocessConfig:
 
 def median_filter(img: RgbImage, radius: int) -> RgbImage:
     """Per-channel median over the 3x3 window, edges clamped, in a new
-    array; radius 0 returns a copy of ``img``."""
+    array; radius 0 returns ``img`` itself. Unification never writes into
+    it: its pixels count only where their background distance is above 0."""
     if radius not in (0, 1):
         raise InvalidConfig("radius must be 0 or 1")
     if radius == 0:
-        return RgbImage(img.pixels.copy())
+        return img
     h, w, _ = img.pixels.shape
     # interleaved rows, no size-3 axis: a pixel's row neighbours are 3 bytes away
     p = np.empty((h + 2, 3 * w + 6), dtype=np.uint8)
@@ -65,20 +67,21 @@ def median_filter(img: RgbImage, radius: int) -> RgbImage:
 
 
 def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
-    """Median-filter, then detect the background color and flatten
-    everything near it: the bytes of ``median_filter`` followed by
+    """Median-filter, then detect the background color and mark everything
+    near it as background: ``median_filter`` followed by
     ``unify_background``, with the median taken only where the raw frame
     differs from the background.
 
     The background is the most frequent color on the filtered 1-pixel border
     (ties broken by the lexicographically smallest (r, g, b)). Every filtered
-    pixel within ``tolerance`` of it is replaced by it exactly.
+    pixel within ``tolerance`` of it is background.
 
     Returns ``(window, background_color, box, dist)``: the output is the
-    background outside ``box``, a pair of slices; ``window`` is a new array
-    of its pixels in ``box``, and ``dist`` their int32 squared distance to
-    the background, the near-background test's, with the flattened pixels at
-    0. All three are None when every pixel of ``img`` is the background.
+    background outside ``box``, a pair of slices; ``window`` is the median's
+    output in ``box``, not repainted, and ``dist`` its int32 squared distance
+    to the background, 0 at every pixel within ``tolerance``. A window pixel
+    is meaningful only where ``dist > 0``; :func:`_framed` paints the rest.
+    All three are None when every pixel of ``img`` is the background.
     """
     if not tolerance >= 0:  # NaN fails too
         raise InvalidConfig("tolerance must be >= 0")
@@ -106,29 +109,25 @@ def filter_and_unify(img: RgbImage, radius: int, tolerance: float):
     grown = tuple(slice(max(s.start - r, 0), s.stop + r) for s in box)
     win = median_filter(RgbImage(px[grown]), r).pixels
     dist = sq_distance(planes(win), color)
-    near = dist <= tolerance * tolerance
-    h, w = near.shape
-    # one masked copy over the interleaved rows; indexing by pixel moves 3 bytes a step
-    np.copyto(win.reshape(h, 3 * w), np.tile(np.asarray(color, dtype=np.uint8), w),
-              where=np.stack((near, near, near), axis=-1).reshape(h, 3 * w))
-    dist[near] = 0
+    dist[dist <= tolerance * tolerance] = 0
     return win, color, grown, dist
 
 
-def _framed(shape, window, box, color) -> RgbImage:
-    """A ``color`` frame of ``shape`` (h, w) holding ``window`` at ``box``, if not None."""
+def _framed(shape, window, box, color, dist) -> RgbImage:
+    """A new ``color`` frame of ``shape`` (h, w) holding ``window`` at ``box``
+    (None: nowhere) where its ``dist > 0``, the only pixels of it that count."""
     out = filled(*shape, color)
-    if box is not None:
-        out[box] = window
+    if box is not None:  # a per-byte mask copies about 3x faster than a broadcast one
+        np.copyto(out[box], window, where=(dist > 0).repeat(3, axis=1).reshape(window.shape))
     return RgbImage(out)
 
 
 def unify_background(img: RgbImage, cfg: PreprocessConfig):
     """Detect the background color and flatten everything near it:
-    :func:`filter_and_unify` with radius 0, its window pasted into a new
-    frame. Returns ``(image, background_color)``."""
-    win, color, box, _ = filter_and_unify(img, 0, cfg.background_tolerance)
-    return _framed(img.pixels.shape[:2], win, box, color), color
+    :func:`filter_and_unify` with radius 0, its window pixels at ``dist > 0``
+    pasted into a new frame. Returns ``(image, background_color)``."""
+    win, color, box, dist = filter_and_unify(img, 0, cfg.background_tolerance)
+    return _framed(img.pixels.shape[:2], win, box, color, dist), color
 
 
 def pixel_coords(bits):
@@ -163,21 +162,22 @@ def normalize_rotation(img: RgbImage, background_color) -> RgbImage:
     Nearest-neighbor resampling about the foreground centroid into a canvas
     of the same size; pixels mapping outside the source are filled with the
     background color. Inputs already within half a degree of horizontal are
-    returned unchanged.
+    returned unchanged (``img`` itself).
     """
     shape = img.pixels.shape[:2]
     box, dist = distance_window(img.pixels, background_color)
-    win, box, _ = _normalize_rotation(shape, box and img.pixels[box], background_color, box, dist)
-    return img if np.may_share_memory(win, img.pixels) else _framed(shape, win, box, background_color)
+    win, box, dist = _normalize_rotation(shape, box and img.pixels[box], box, dist)
+    return img if np.may_share_memory(win, img.pixels) else _framed(shape, win, box, background_color, dist)
 
 
-def _normalize_rotation(shape, px, background_color, box, dist):
+def _normalize_rotation(shape, px, box, dist):
     """:func:`normalize_rotation` of a frame of ``shape`` (h, w) that is
     background outside ``box`` (None: everywhere), given ``px`` and ``dist``,
     its pixels in ``box`` and their int32 squared distance to the background;
-    the foreground is where that is above 0. Returns ``(window, box, dist)``
-    of the output in the same terms: views of the tight foreground box when
-    it is not resampled, else new arrays, clipped to the frame."""
+    the foreground, the only pixels that count, is where that is above 0.
+    Returns ``(window, box, dist)`` of the output in the same terms: views of
+    the tight foreground box when it is not resampled, else new arrays,
+    clipped to the frame."""
     if box is None or not (fg := dist > 0).any():
         raise EmptyForeground("image has no non-background pixels")
     rows, cols = np.flatnonzero(fg.any(axis=1)), np.flatnonzero(fg.any(axis=0))
@@ -207,12 +207,10 @@ def _normalize_rotation(shape, px, background_color, box, dist):
     v = (np.arange(wy0, wy1, dtype=np.float64) - y0 - cy)[:, np.newaxis]
     # a band sums these products as the frame-wide expression does: same bytes
     cos_u, sin_u, sin_v, cos_v = cos_t * u, sin_t * u, sin_t * v, cos_t * v
-    # the fish bbox inside a one-pixel background border: a source clipped to
-    # [-1, bw] x [-1, bh] lands on the border when it is outside the bbox
-    fish = filled(bh + 2, bw + 2, background_color)
-    fish[1:-1, 1:-1] = px
-    fish = fish.reshape(-1, 3)
-    fish_dist = np.pad(dist, 1).ravel()  # the border is at distance 0
+    # the fish bbox inside a one-pixel border at distance 0, so background: a
+    # source clipped to [-1, bw] x [-1, bh] lands on the border when it is outside the bbox
+    fish = np.pad(px, ((1, 1), (1, 1), (0, 0))).reshape(-1, 3)
+    fish_dist = np.pad(dist, 1).ravel()
     # every band writes all of its rows
     win = np.empty((wy1 - wy0, wx1 - wx0, 3), dtype=np.uint8)
     win_dist = np.empty(win.shape[:2], dtype=np.int32)

@@ -203,32 +203,38 @@ def whole_frame_analysis(img):
 
 
 def assert_field(window, bg, dist):
-    """``dist`` is the int32 squared distance of ``window`` to ``bg``."""
+    """``dist`` is int32, and where it is above 0 (the only pixels of
+    ``window`` that count) it is their squared distance to ``bg``; returns
+    that distance for the whole window."""
     assert dist.dtype == np.int32
-    assert np.array_equal(dist, sq_distance(planes(window), bg))
+    d = sq_distance(planes(window), bg)
+    assert np.array_equal(dist[dist > 0], d[dist > 0])
+    return d
 
 
 def assert_stage_fields(img):
-    """Each stage of ``analyze_image`` hands on the pixels of its box, which
-    framed are the frame its public stage returns, and their distance field;
-    returns whether the rotation resampled."""
+    """Each stage of ``analyze_image`` hands on the pixels of its box and
+    their distance field, which painted by the rule that a pixel is
+    background where its distance is 0 are the frame its public stage
+    returns; returns whether the rotation resampled."""
     pre = pipeline.PipelineConfig().preprocess
     shape = img.pixels.shape[:2]
     unified, bg = unify_background(median_filter(img, pre.median_radius), pre)
     window, bg_window, box, dist = filter_and_unify(img, pre.median_radius, pre.background_tolerance)
     assert bg_window == bg
-    assert framed(shape, window, bg, box).tobytes() == unified.pixels.tobytes()
+    assert framed(shape, window, bg, box, dist).tobytes() == unified.pixels.tobytes()
     if box is None:
-        assert dist is None
         return False
-    assert_field(window, bg, dist)
+    d = assert_field(window, bg, dist)
+    d[d <= pre.background_tolerance**2] = 0
+    assert np.array_equal(dist, d)
     if not dist.any():
         with pytest.raises(EmptyForeground):
-            _normalize_rotation(shape, window, bg, box, dist)
+            _normalize_rotation(shape, window, box, dist)
         return False
-    rotated, box, dist = _normalize_rotation(shape, window, bg, box, dist)
+    rotated, box, dist = _normalize_rotation(shape, window, box, dist)
     assert_field(rotated, bg, dist)
-    assert framed(shape, rotated, bg, box).tobytes() == normalize_rotation(unified, bg).pixels.tobytes()
+    assert framed(shape, rotated, bg, box, dist).tobytes() == normalize_rotation(unified, bg).pixels.tobytes()
     return not np.shares_memory(rotated, window)
 
 

@@ -88,13 +88,9 @@ ROTATION_CASES = (
 
 class TestMedianFilter:
     def test_radius_zero_is_identity(self):
-        """Radius 0 returns the same bytes in a new array, which
-        ``filter_and_unify`` may flatten without touching the caller's pixels."""
         rng = np.random.default_rng(1)
         img = RgbImage(rng.integers(0, 256, (6, 9, 3), dtype=np.uint8))
-        out = median_filter(img, 0).pixels
-        assert out.tobytes() == img.pixels.tobytes()
-        assert not np.shares_memory(out, img.pixels)
+        assert median_filter(img, 0) is img
 
     def test_center_outlier_removed(self):
         px = np.full((3, 3, 3), 100, dtype=np.uint8)
@@ -145,23 +141,27 @@ class TestMedianFilter:
                 self, seed, radius, levels)
 
 
-def framed(shape, window, bg, box):
-    """The frame of ``shape`` (h, w) that a stage's ``(window, box)`` stands
-    for: ``bg`` outside ``box`` and ``window``, of the box's size, in it."""
+def framed(shape, window, bg, box, dist):
+    """The frame of ``shape`` (h, w) that a stage's ``(window, box, dist)``
+    stands for: a pixel is background where its distance is 0, so ``bg``
+    outside ``box`` and wherever ``dist`` is 0, and ``window``, of the box's
+    size, elsewhere in it."""
     frame = np.empty(shape + (3,), dtype=np.uint8)
     frame[:] = bg
     if box is None:
-        assert window is None
+        assert window is None and dist is None
     else:
-        assert window.shape == frame[box].shape
-        frame[box] = window
+        assert window.shape == frame[box].shape and dist.shape == window.shape[:2]
+        inside = frame[box]
+        inside[:] = window
+        inside[dist == 0] = bg
     return frame
 
 
 def unified_frame(img, radius, tolerance):
     """``filter_and_unify`` as a frame: ``(frame, background_color)``."""
-    window, bg, box, _ = filter_and_unify(img, radius, tolerance)
-    return framed(img.pixels.shape[:2], window, bg, box), bg
+    window, bg, box, dist = filter_and_unify(img, radius, tolerance)
+    return framed(img.pixels.shape[:2], window, bg, box, dist), bg
 
 
 class TestUnifyBackground:
@@ -281,11 +281,15 @@ class TestFilterAndUnify:
         px[sel] = palette[rng.integers(0, 4, int(sel.sum()))]
         before = px.copy()
         expected, expected_bg = full_frame_filter_and_unify(px, radius, tolerance)
-        window, out_bg, box, _ = filter_and_unify(RgbImage(px), radius, tolerance)
+        window, out_bg, box, dist = filter_and_unify(RgbImage(px), radius, tolerance)
         assert out_bg == expected_bg
-        assert framed((h, w), window, out_bg, box).tobytes() == expected.tobytes()
+        assert framed((h, w), window, out_bg, box, dist).tobytes() == expected.tobytes()
         assert np.array_equal(px, before)
-        assert window is None or not np.shares_memory(window, px)
+        if window is not None:  # the median's own output, with its distance field
+            assert window.tobytes() == median_filter(RgbImage(px[box]), radius).pixels.tobytes()
+            d = imageio.sq_distance(imageio.planes(window), out_bg)
+            d[d <= tolerance * tolerance] = 0
+            assert dist.dtype == np.int32 and np.array_equal(dist, d)
 
     @settings(deadline=None, max_examples=200)
     @given(*FILTER_CASES)
@@ -304,6 +308,27 @@ class TestFilterAndUnify:
         out, bg = unified_frame(RgbImage(px), radius, 1e200)
         assert bg == (0, 0, 0)
         assert not out.any()
+
+    @pytest.mark.parametrize("scene", ["patches", "fish"])
+    def test_near_background_pixels_keep_the_medians_bytes(self, scene):
+        """Pixels within the tolerance of the background but unequal to it are
+        not repainted: the window is the median's output, and their distance
+        of 0 alone marks them as background."""
+        if scene == "fish":  # a fish, and a patch of background in a slightly darker light
+            cfg = synthgen.SynthConfig()
+            img = synthgen.render_fish(synthgen.default_families()[0], 4, cfg)
+            patch = img.pixels[20:60, 20:120]
+            patch[np.all(patch == cfg.background, axis=2)] -= np.uint8([12, 9, 8])
+        else:
+            px = np.full((12, 14, 3), 255, dtype=np.uint8)
+            px[1:5, 2:6] = (250, 245, 240)  # within 25 of white
+            px[6:10, 7:12] = (20, 90, 160)
+            img = RgbImage(px)
+        window, bg, box, dist = filter_and_unify(img, 1, 25.0)
+        expected = median_filter(RgbImage(img.pixels[box]), 1).pixels
+        d = imageio.sq_distance(imageio.planes(expected), bg)
+        assert ((d > 0) & (d <= 25 * 25)).any()
+        assert window.tobytes() == expected.tobytes()
 
     def test_synthetic_fish_matches_full_frame_path(self):
         img = synthgen.render_fish(synthgen.default_families()[2], 3, synthgen.SynthConfig())
