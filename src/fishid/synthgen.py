@@ -14,6 +14,7 @@ are correct by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 import os
 
 import numpy as np
@@ -132,7 +133,8 @@ def default_families() -> list[FamilySpec]:
 
 
 def _triangle(xg, yg, a, b, c):
-    """Boolean raster of the closed triangle a-b-c over coordinate grids."""
+    """Boolean raster of the closed triangle a-b-c over a row ``xg`` of x and
+    a column ``yg`` of y coordinates."""
     def side(p, q):
         return (q[0] - p[0]) * (yg - p[1]) - (q[1] - p[1]) * (xg - p[0])
 
@@ -187,6 +189,8 @@ def render_params(spec: FamilySpec, seed: int) -> RenderParams:
 
 def render_fish(spec: FamilySpec, seed: int, cfg: SynthConfig, scale: float = 1.0) -> RgbImage:
     """Draw one fish; bit-identical for identical (spec, seed, cfg, scale)."""
+    if not 0.0 < scale < np.inf:
+        raise InvalidConfig(f"scale must be positive and finite, got {scale}")
     p = render_params(spec, seed)
     jx, jy = p.jitter
 
@@ -231,50 +235,53 @@ def render_fish(spec: FamilySpec, seed: int, cfg: SynthConfig, scale: float = 1.
     x_hi = min(cfg.width, int(cx + max(snout_off, tail_off)) + 3)
     y_lo = max(0, int(cy - up_h) - 2)
     y_hi = min(cfg.height, int(cy + dn_h) + 3)
-    yg, xg = np.mgrid[y_lo:y_hi, x_lo:x_hi].astype(np.float64)
-    body = ((xg - cx) / a) ** 2 + ((yg - cy) / b) ** 2 <= 1.0
+    yg = np.arange(y_lo, y_hi, dtype=np.float64)[:, None]
+    xg = np.arange(x_lo, x_hi, dtype=np.float64)
+
+    def box(xs, ys):
+        # each part is tested only over its bounding box grown by one pixel:
+        # outside it, the ellipse's or a disc's x or y term alone exceeds the
+        # bound by a factor of at least (1 + 1/radius)**2, and a triangle's
+        # side tests are far from their rounding because every angle of
+        # every triangle below is well above 0; numpy clips the ends
+        rows = slice(max(math.floor(min(ys)) - 1 - y_lo, 0), math.floor(max(ys)) + 2 - y_lo)
+        cols = slice(max(math.floor(min(xs)) - 1 - x_lo, 0), math.floor(max(xs)) + 2 - x_lo)
+        return rows, cols
+
+    fish = np.zeros((y_hi - y_lo, x_hi - x_lo), dtype=bool)
+    r, c = box((cx - a, cx + a), (cy - b, cy + b))
+    fish[r, c] = ((xg[c] - cx) / a) ** 2 + ((yg[r] - cy) / b) ** 2 <= 1.0
 
     # blunt apexes digitize stably across scales
-    snout_tip = (cx + hdir * snout_off, cy)
     snout_base = cx + hdir * 0.78 * a
-    snout = _triangle(
-        xg, yg, snout_tip, (snout_base, cy - 0.45 * b), (snout_base, cy + 0.45 * b)
-    )
-    tail_tip = (cx - hdir * tail_off, cy)
     tail_base = cx - hdir * 0.78 * a
-    tail = _triangle(
-        xg, yg, tail_tip, (tail_base, cy - 0.58 * b), (tail_base, cy + 0.58 * b)
-    )
-    dfin = _triangle(
-        xg, yg,
-        (cx + hdir * 0.32 * a, cy),
-        (cx - hdir * 0.22 * a, cy),
-        (cx + hdir * apex_dx, cy - up_h),
-    )
-    vfin = _triangle(
-        xg, yg,
-        (cx + hdir * 0.28 * a, cy),
-        (cx - hdir * 0.18 * a, cy),
-        (cx - hdir * apex_dx, cy + dn_h),
-    )
-    fish = body | snout | tail | dfin | vfin
+    parts = (
+        ((cx + hdir * snout_off, cy), (snout_base, cy - 0.45 * b), (snout_base, cy + 0.45 * b)),
+        ((cx - hdir * tail_off, cy), (tail_base, cy - 0.58 * b), (tail_base, cy + 0.58 * b)),
+        ((cx + hdir * 0.32 * a, cy), (cx - hdir * 0.22 * a, cy), (cx + hdir * apex_dx, cy - up_h)),
+        ((cx + hdir * 0.28 * a, cy), (cx - hdir * 0.18 * a, cy), (cx - hdir * apex_dx, cy + dn_h)),
+    )  # snout, tail, dorsal fin, ventral fin
+    for vertices in parts:
+        r, c = box(*zip(*vertices))
+        fish[r, c] |= _triangle(xg[c], yg[r], *vertices)
 
     px = filled(cfg.height, cfg.width, cfg.background)
     window = px[y_lo:y_hi, x_lo:x_hi]
-    window[fish & (yg < cy)] = p.dorsum
-    window[fish & (yg >= cy)] = p.ventral
+    k = int(cy) - y_lo  # yg < cy holds in exactly the first k rows
+    # copyto with a mask, unlike a boolean index, allocates no index arrays
+    np.copyto(window[:k], np.array(p.dorsum, np.uint8), where=fish[:k, :, None])
+    np.copyto(window[k:], np.array(p.ventral, np.uint8), where=fish[k:, :, None])
+
+    def disc(x, y, radius, color):
+        r, c = box((x - radius, x + radius), (y - radius, y + radius))
+        inside = (xg[c] - x) ** 2 + (yg[r] - y) ** 2 <= radius * radius
+        window[r, c][inside & fish[r, c]] = color
 
     for ux, uy, ur in p.spots:
         sx = cx + (2.0 * ux - 1.0) * 0.65 * a
         sy = cy + (2.0 * uy - 1.0) * 0.45 * b
-        sr = (1.6 + 1.4 * ur) * scale
-        spot = (xg - sx) ** 2 + (yg - sy) ** 2 <= sr * sr
-        window[spot & fish] = (70, 52, 40)
-
-    ex = cx + hdir * 0.62 * a
-    ey = cy - 0.30 * b
-    eye = (xg - ex) ** 2 + (yg - ey) ** 2 <= eye_r * eye_r
-    window[eye & fish] = (25, 25, 28)
+        disc(sx, sy, (1.6 + 1.4 * ur) * scale, (70, 52, 40))
+    disc(cx + hdir * 0.62 * a, cy - 0.30 * b, eye_r, (25, 25, 28))
 
     return RgbImage(px)
 

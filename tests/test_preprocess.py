@@ -179,7 +179,8 @@ class TestUnifyBackground:
         assert out[2, 2].tolist() == [250, 250, 250]
 
     def test_leaves_its_input_unchanged(self):
-        """Radius 0 filters nothing, so the flattening must go to a copy."""
+        """Unification leaves its input's bytes as they were and hands back a
+        frame that shares no memory with it."""
         px = np.full((5, 5, 3), 255, dtype=np.uint8)
         px[1:4, 1:4] = (250, 250, 250)
         px[2, 2] = (0, 0, 0)
